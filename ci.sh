@@ -24,89 +24,29 @@ if [ "${1:-}" != "quick" ]; then
   step "cargo bench --no-run (Criterion benches must compile)"
   cargo bench -p bench --no-run
 
-  step "E14 macro-benchmark smoke (closed-loop hot path + BENCH_e14.json)"
-  # Shrunken workload; asserts the closed loop completes, the run is
-  # deterministic, batching beats 2 msgs/call, and the artifact writes.
-  # PROXIDE_BENCH_DIR keeps the committed full-mode BENCH_e14.json intact.
-  PROXIDE_E14_SMOKE=1 PROXIDE_BENCH_DIR=target \
-    cargo run -q --release -p bench --bin e14_hotpath
+  # Wall-clock experiments: each runs a shrunken smoke workload (its
+  # PROXIDE_E<n>_SMOKE switch) that asserts its own shape checks and
+  # writes BENCH_e<n>.json under target/ (PROXIDE_BENCH_DIR keeps the
+  # committed full-mode baselines intact). perfgate then compares the
+  # committed baseline with itself strictly (artifact well-formed, all
+  # metrics within tolerance), and the smoke artifact against the
+  # baseline warn-only: the shrunken config is legitimately
+  # incomparable, so that step only exercises the refusal path.
+  #   e14 closed-loop hot path     e17 observability plane (obs on/off)
+  #   e16 million-process fleet    e18 multi-core scheduler thread sweep
+  #   e19 bulk data plane          e20 continuous profiler overhead
+  for bin in e14_hotpath e16_million e17_obsplane e18_multicore e19_bulkplane e20_profiler; do
+    n="${bin%%_*}"
+    n="${n#e}"
+    step "E${n} smoke (${bin} + BENCH_e${n}.json)"
+    env "PROXIDE_E${n}_SMOKE=1" PROXIDE_BENCH_DIR=target \
+      cargo run -q --release -p bench --bin "$bin"
 
-  step "perfgate (regression gate against the committed E14 baseline)"
-  # Strict self-compare: the committed baseline must gate cleanly against
-  # itself (artifact well-formed, all metrics within tolerance).
-  cargo run -q --release -p bench --bin perfgate -- BENCH_e14.json BENCH_e14.json
-  # The smoke artifact runs a shrunken config, so it is legitimately
-  # incomparable with the full-mode baseline: warn-only keeps the step
-  # green while still exercising the comparability refusal path.
-  cargo run -q --release -p bench --bin perfgate -- --warn-only \
-    target/BENCH_e14.json BENCH_e14.json
-
-  step "E16 million-process smoke (poll-driven fleet + BENCH_e16.json)"
-  # ~2k poll-driven clients; asserts every client completes, the whole
-  # fleet is concurrently parked, and the process table stays bounded.
-  PROXIDE_E16_SMOKE=1 PROXIDE_BENCH_DIR=target \
-    cargo run -q --release -p bench --bin e16_million
-
-  step "perfgate (E16 baseline self-compare + warn-only smoke compare)"
-  cargo run -q --release -p bench --bin perfgate -- BENCH_e16.json BENCH_e16.json
-  # Smoke runs a shrunken fleet: incomparable config, warn-only.
-  cargo run -q --release -p bench --bin perfgate -- --warn-only \
-    target/BENCH_e16.json BENCH_e16.json
-
-  step "E17 observability-plane smoke (obs-on vs obs-off + BENCH_e17.json)"
-  # ~20k clients, two legs (instrumented vs dark); asserts retirement
-  # conserves spans, the table ends O(open + sampled), self-measurement
-  # records the plane's own cost, and overhead stays under 2x.
-  PROXIDE_E17_SMOKE=1 PROXIDE_BENCH_DIR=target \
-    cargo run -q --release -p bench --bin e17_obsplane
-
-  step "perfgate (E17 baseline self-compare + warn-only smoke compare)"
-  cargo run -q --release -p bench --bin perfgate -- BENCH_e17.json BENCH_e17.json
-  # Smoke runs a shrunken fleet: incomparable config, warn-only.
-  cargo run -q --release -p bench --bin perfgate -- --warn-only \
-    target/BENCH_e17.json BENCH_e17.json
-
-  step "E18 multi-core scheduler smoke (thread sweep + BENCH_e18.json)"
-  # 1k poll-driven clients over 8 domains, run at 1/2/4 worker threads;
-  # asserts every leg is byte-identical to the 1-thread run (summary,
-  # causal trace, RunReport JSON), zero time inversions, and the >=3x
-  # speedup gate arms only on hosts with >= 4 cores.
-  PROXIDE_E18_SMOKE=1 PROXIDE_BENCH_DIR=target \
-    cargo run -q --release -p bench --bin e18_multicore
-
-  step "perfgate (E18 baseline self-compare + warn-only smoke compare)"
-  cargo run -q --release -p bench --bin perfgate -- BENCH_e18.json BENCH_e18.json
-  # Smoke runs a shrunken sweep: incomparable config, warn-only.
-  cargo run -q --release -p bench --bin perfgate -- --warn-only \
-    target/BENCH_e18.json BENCH_e18.json
-
-  step "E19 bulk-data-plane smoke (pass-by-ref + edge caches + BENCH_e19.json)"
-  # 3 WAN regions under Zipf + flash-crowd traffic; asserts by-reference
-  # results are bit-identical to inline marshalling, >=5x fewer RPC-path
-  # bytes through the catalog, the edge hierarchy absorbs repeat fetches,
-  # and the bulk leg is byte-identical across 1/4 scheduler threads.
-  PROXIDE_E19_SMOKE=1 PROXIDE_BENCH_DIR=target \
-    cargo run -q --release -p bench --bin e19_bulkplane
-
-  step "perfgate (E19 baseline self-compare + warn-only smoke compare)"
-  cargo run -q --release -p bench --bin perfgate -- BENCH_e19.json BENCH_e19.json
-  # Smoke runs a shrunken workload: incomparable config, warn-only.
-  cargo run -q --release -p bench --bin perfgate -- --warn-only \
-    target/BENCH_e19.json BENCH_e19.json
-
-  step "E20 continuous-profiler smoke (overhead + conservation + BENCH_e20.json)"
-  # E18 workload, off/on interleaved x5 after a warmup (+ a 4-thread leg);
-  # asserts phase walls tile the round wall exactly, frame paths+calls
-  # are byte-identical across runs and thread counts, profiling leaves
-  # the trace untouched, and the folded flamegraph exports canonically.
-  PROXIDE_E20_SMOKE=1 PROXIDE_BENCH_DIR=target \
-    cargo run -q --release -p bench --bin e20_profiler
-
-  step "perfgate (E20 baseline self-compare + warn-only smoke compare)"
-  cargo run -q --release -p bench --bin perfgate -- BENCH_e20.json BENCH_e20.json
-  # Smoke runs a shrunken workload: incomparable config, warn-only.
-  cargo run -q --release -p bench --bin perfgate -- --warn-only \
-    target/BENCH_e20.json BENCH_e20.json
+    step "perfgate (E${n} baseline self-compare + warn-only smoke compare)"
+    cargo run -q --release -p bench --bin perfgate -- "BENCH_e${n}.json" "BENCH_e${n}.json"
+    cargo run -q --release -p bench --bin perfgate -- --warn-only \
+      "target/BENCH_e${n}.json" "BENCH_e${n}.json"
+  done
 
   step "flamegraph gate (folded export validates + tracectl flame round-trips)"
   # The smoke run above exported the collapsed flamegraph and the

@@ -25,7 +25,7 @@ use std::time::Duration;
 
 use bench::Table;
 use naming::spawn_name_server;
-use proxy_core::{CachingParams, ClientRuntime, ProxySpec, ServiceBuilder, Session};
+use proxy_core::{CachingParams, ProxySpec, ServiceBuilder, Session, SessionCore};
 use services::kv::{KvClient, KvStore};
 use simnet::{NetworkConfig, NodeId, PortId, Simulation};
 
@@ -181,7 +181,7 @@ fn chaos_run(opts: &RunOpts) -> (Simulation, obs::CausalTrace) {
     for c in 0..opts.clients {
         let node = NodeId(2 + c);
         sim.spawn(format!("client-{c}"), node, move |ctx| {
-            let mut rt = ClientRuntime::new(ns);
+            let mut rt = SessionCore::new(ns);
             let mut s = Session::new(&mut rt, ctx);
             let kv = match KvClient::bind(&mut s, "kv") {
                 Ok(kv) => kv,

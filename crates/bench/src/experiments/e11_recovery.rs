@@ -17,8 +17,8 @@ use std::time::Duration;
 
 use naming::spawn_name_server;
 use proxy_core::{
-    CheckpointPolicy, ClientRuntime, InterfaceDesc, OpDesc, ProxySpec, ServiceBuilder,
-    ServiceObject, ServiceServer, StableStore,
+    CheckpointPolicy, InterfaceDesc, OpDesc, ProxySpec, ServiceBuilder, ServiceObject,
+    ServiceServer, SessionCore, StableStore,
 };
 use rpc::{ErrorCode, RemoteError, RpcError};
 use simnet::{Ctx, NetworkConfig, NodeId, Simulation};
@@ -103,7 +103,7 @@ fn measure(interval: u64, seed: u64) -> (Point, ObsReport) {
         .spawn(&sim, NodeId(1), ns);
     let (w, r) = slot::<Point>();
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let h = rt.bind(ctx, "ledger").unwrap();
         for i in 0..WRITES_BEFORE_CRASH {
             rt.invoke(

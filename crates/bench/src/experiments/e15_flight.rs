@@ -23,7 +23,7 @@
 use std::time::Duration;
 
 use naming::spawn_name_server;
-use proxy_core::{CachingParams, ClientRuntime, ProxySpec, ServiceBuilder, Session};
+use proxy_core::{CachingParams, ProxySpec, ServiceBuilder, Session, SessionCore};
 use services::kv::{KvClient, KvStore};
 use simnet::{NetworkConfig, NodeId, Simulation};
 
@@ -72,7 +72,7 @@ fn run_flight(width_ns: u64) -> FlightRun {
     for c in 0..CLIENTS {
         let node = NodeId(2 + c);
         sim.spawn(format!("client-{c}"), node, move |ctx| {
-            let mut rt = ClientRuntime::new(ns);
+            let mut rt = SessionCore::new(ns);
             let mut s = Session::new(&mut rt, ctx);
             let kv = match KvClient::bind(&mut s, "kv") {
                 Ok(kv) => kv,

@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use proxy_core::{BulkParams, ClientRuntime, ProxySpec, ServiceBuilder, Session};
+use proxy_core::{BulkParams, ProxySpec, ServiceBuilder, Session, SessionCore};
 use services::blob::{spawn_edge_cache, BlobStore};
 use services::kv::KvStore;
 use simnet::{NetworkConfig, NodeId, Simulation};
@@ -391,7 +391,7 @@ fn run_leg(cfg: Config, bulk: bool, threads: usize) -> Leg {
     // readers poll for. All coordination rides the simulated network so
     // thread count cannot reorder anything observable.
     sim.spawn("publisher", NodeId(NODE_PUBLISHER), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let mut s = Session::new(&mut rt, ctx);
         let mut patience = 200;
         let catalog = loop {
@@ -444,7 +444,7 @@ fn run_leg(cfg: Config, bulk: bool, threads: usize) -> Leg {
             let ok_gets = Arc::clone(&ok_gets);
             let lat = Arc::clone(&lat[r]);
             sim.spawn(format!("r{r}c{c}"), client_node(cfg, r, c), move |ctx| {
-                let mut rt = ClientRuntime::new(ns);
+                let mut rt = SessionCore::new(ns);
                 rt.binder_mut().set_bulk_route(route);
                 let mut s = Session::new(&mut rt, ctx);
                 let mut patience = 400;

@@ -15,8 +15,8 @@
 use std::time::Duration;
 
 use naming::spawn_name_server;
-use proxy_core::{CachingParams, ClientRuntime, Coherence, ProxySpec, ServiceBuilder};
-use rpc::{RetryPolicy, RpcClient};
+use proxy_core::{CachingParams, Coherence, ProxySpec, ServiceBuilder, SessionCore};
+use rpc::{Channel, ChannelConfig, RetryPolicy};
 use services::kv::KvStore;
 use simnet::{Ctx, NetworkConfig, NodeId, SimTime, Simulation};
 use wire::Value;
@@ -68,7 +68,7 @@ fn measure(label: &str, spec: Option<ProxySpec>, seed: u64) -> (Row, ObsReport) 
     let (w, r) = slot::<Row>();
     sim.spawn("client", NodeId(2), move |ctx| {
         // Seed the keys (unmeasured).
-        let mut seed_rpc = RpcClient::new(server);
+        let mut seed_rpc = Channel::new("kv", server, ChannelConfig::with_depth(1));
         for k in 0..KEYS {
             seed_rpc
                 .call(
@@ -87,9 +87,11 @@ fn measure(label: &str, spec: Option<ProxySpec>, seed: u64) -> (Row, ObsReport) 
                 None => {
                     // Direct message passing: one-shot request/response
                     // without retries, dedup windows or binding.
-                    let mut raw = RpcClient::with_policy(
+                    let mut raw = Channel::new(
+                        "kv",
                         server,
-                        RetryPolicy::no_retry(Duration::from_secs(1)),
+                        ChannelConfig::with_depth(1)
+                            .with_policy(RetryPolicy::no_retry(Duration::from_secs(1))),
                     );
                     let t0 = ctx.now();
                     workload(ctx, |ctx, is_read, key| {
@@ -107,7 +109,7 @@ fn measure(label: &str, spec: Option<ProxySpec>, seed: u64) -> (Row, ObsReport) 
                     )
                 }
                 Some(_) => {
-                    let mut rt = ClientRuntime::new(ns).with_factories(services::all_factories());
+                    let mut rt = SessionCore::new(ns).with_factories(services::all_factories());
                     let kv = rt.bind(ctx, "kv").unwrap();
                     let t0 = ctx.now();
                     workload(ctx, |ctx, is_read, key| {

@@ -13,7 +13,7 @@
 use std::time::Duration;
 
 use naming::spawn_name_server;
-use proxy_core::{CachingParams, ClientRuntime, Coherence, ProxySpec, ServiceBuilder};
+use proxy_core::{CachingParams, Coherence, ProxySpec, ServiceBuilder, SessionCore};
 use services::file::{block_addr, BlockFile};
 use simnet::{NetworkConfig, NodeId, Simulation};
 use wire::Value;
@@ -39,7 +39,7 @@ fn measure(label: &str, spec: ProxySpec, read_pct: u64, seed: u64) -> (Point, Ob
         .spawn(&sim, NodeId(1), ns);
     let (w, r) = slot::<Point>();
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let fs = rt.bind(ctx, "fs").unwrap();
         // Seed every block (unmeasured).
         for b in 0..BLOCKS {

@@ -8,7 +8,7 @@
 //! per-call cost as N grows; at N=1 the binding overhead dominates.
 
 use naming::spawn_name_server;
-use proxy_core::{CachingParams, ClientRuntime, Coherence, ProxySpec, ServiceBuilder};
+use proxy_core::{CachingParams, Coherence, ProxySpec, ServiceBuilder, SessionCore};
 use services::kv::KvStore;
 use simnet::{NetworkConfig, NodeId, Simulation};
 use wire::Value;
@@ -39,7 +39,7 @@ fn measure(n: u64, seed: u64) -> (Point, ObsReport) {
         // protocol, not the retry loop.
         ctx.sleep(std::time::Duration::from_millis(5)).unwrap();
         let t_bind = ctx.now();
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         let bind_us = (ctx.now() - t_bind).as_secs_f64() * 1e6;
         let t0 = ctx.now();

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rpc::{ErrorCode, RemoteError, RetryPolicy, RpcClient, RpcError, RpcServer};
+use rpc::{Channel, ChannelConfig, ErrorCode, RemoteError, RetryPolicy, RpcError, RpcServer};
 use simnet::{NetworkConfig, NodeId, PortId, Simulation};
 use wire::Value;
 
@@ -63,7 +63,11 @@ fn measure(
     });
     let (w, r) = slot::<(u64, u64, u64, f64)>();
     sim.spawn("client", NodeId(1), move |ctx| {
-        let mut c = RpcClient::with_policy(server, policy);
+        let mut c = Channel::new(
+            "counter",
+            server,
+            ChannelConfig::with_depth(1).with_policy(policy),
+        );
         let mut ok = 0u64;
         let mut latency_sum = 0.0;
         for _ in 0..CALLS {

@@ -183,12 +183,6 @@ impl BlobClient {
         ))
     }
 
-    fn drain(&mut self, ch: &mut Channel, strays: &mut dyn OnewaySink) {
-        for o in ch.take_strays() {
-            strays.push(o);
-        }
-    }
-
     /// Uploads `data` under `key`, chunked and pipelined, and returns the
     /// reference handle to ship on the RPC path.
     ///
@@ -231,7 +225,7 @@ impl BlobClient {
                 result = Err(e);
             }
         }
-        self.drain(&mut ch, strays);
+        crate::proxy::route_strays(ctx, &mut ch, strays);
         if let Err(e) = result {
             self.server = None;
             return Err(e);
@@ -295,7 +289,7 @@ impl BlobClient {
                 Err(e) => result = Err(e),
             }
         }
-        self.drain(&mut ch, strays);
+        crate::proxy::route_strays(ctx, &mut ch, strays);
         if let Err(e) = result {
             self.server = None;
             return Err(e);
@@ -336,7 +330,7 @@ impl BlobClient {
         let h = ch.begin_call(ctx, ops::DEL, Value::record([("key", Value::str(key))]));
         ch.wait_all(ctx)?;
         let r = ch.wait(ctx, h).map(drop);
-        self.drain(&mut ch, strays);
+        crate::proxy::route_strays(ctx, &mut ch, strays);
         r
     }
 }

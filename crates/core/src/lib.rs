@@ -24,8 +24,9 @@
 //!
 //! * [`ServiceObject`] + [`ServiceServer`] — the server context hosting
 //!   an object behind the proxy protocol.
-//! * [`Binder`] / [`ClientRuntime`] — the client context: the binding
-//!   protocol plus notification routing.
+//! * [`Binder`] / [`SessionCore`] — the client context: the binding
+//!   protocol plus notification routing. [`Session`] borrows a core and
+//!   the process context for blocking calls.
 //! * [`Proxy`] and the [`proxies`] zoo — the client-side
 //!   representatives.
 //!
@@ -34,7 +35,7 @@
 //! ```
 //! use simnet::{Simulation, NetworkConfig, NodeId};
 //! use naming::spawn_name_server;
-//! use proxy_core::{ServiceBuilder, ClientRuntime, Session, ProxySpec, CachingParams};
+//! use proxy_core::{ServiceBuilder, SessionCore, Session, ProxySpec, CachingParams};
 //! use proxy_core::{InterfaceDesc, OpDesc, ServiceObject};
 //! use rpc::{RemoteError, ErrorCode};
 //! use wire::Value;
@@ -71,8 +72,8 @@
 //!     .object(|| Box::new(Register(7)))
 //!     .spawn(&sim, NodeId(1), ns);
 //! sim.spawn("client", NodeId(2), move |ctx| {
-//!     let mut rt = ClientRuntime::new(ns);
-//!     let mut session = Session::new(&mut rt, ctx);
+//!     let mut core = SessionCore::new(ns);
+//!     let mut session = Session::new(&mut core, ctx);
 //!     let reg = session.bind("reg").unwrap();
 //!     assert_eq!(session.invoke(reg, "read", Value::Null).unwrap(), Value::U64(7));
 //!     // Second read is served from the proxy's cache: no network.
@@ -100,8 +101,8 @@ mod stable;
 pub use bulk::{BlobClient, BulkEngine, BulkParams};
 pub use interface::{InterfaceDesc, OpDesc, OpKind};
 pub use object::{FactoryRegistry, ObjectCtor, ServiceObject};
-pub use proxy::{protocol, DiscardStrays, OnewaySink, Proxy, ProxyStats};
-pub use runtime::{BindContext, Binder, ClientRuntime, ProxyCtor};
+pub use proxy::{protocol, route_strays, DiscardStrays, OnewaySink, Proxy, ProxyStats};
+pub use runtime::{BindContext, Binder, ProxyCtor};
 pub use server::{ServerStats, ServiceBuilder, ServiceServer};
 pub use session::Session;
 pub use session_core::{AsyncHandle, BindFuture, CallFuture, ProxyHandle, SessionCore};

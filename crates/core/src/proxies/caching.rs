@@ -16,7 +16,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use naming::NameClient;
-use rpc::{endpoint_to_value, Channel, ChannelConfig, RpcClient, RpcError};
+use rpc::{endpoint_to_value, Channel, ChannelConfig, Packet, RpcError};
 use simnet::{Ctx, Endpoint, SimTime};
 use wire::Value;
 
@@ -36,7 +36,9 @@ struct CacheEntry {
 #[derive(Debug)]
 pub struct CachingProxy {
     service: String,
-    rpc: RpcClient,
+    /// The proxy's one channel to the server: stop-and-wait calls, and
+    /// staged writes in write-behind mode.
+    rpc: Channel,
     ns: NameClient,
     iface: InterfaceDesc,
     params: CachingParams,
@@ -48,9 +50,9 @@ pub struct CachingProxy {
     /// [`CachingProxy::compact_order`] bounds the slack.
     order: VecDeque<(String, Vec<u8>)>,
     len: usize,
-    /// When `Some`, writes go through this pipelined channel instead of
-    /// blocking on a round trip (write-behind mode).
-    write_behind: Option<Channel>,
+    /// When set, writes are staged on the channel instead of blocking
+    /// on a round trip (write-behind mode).
+    write_behind: bool,
     /// When `Some`, over-threshold blobs spill out-of-band and reply
     /// references resolve out-of-band. Replies are resolved *before*
     /// they enter the cache, so repeat reads of a bulk value are pure
@@ -74,9 +76,10 @@ impl CachingProxy {
         iface: InterfaceDesc,
         params: CachingParams,
     ) -> Result<CachingProxy, RpcError> {
+        let service = service.into();
         let mut proxy = CachingProxy {
-            service: service.into(),
-            rpc: RpcClient::new(server),
+            rpc: Channel::new(service.clone(), server, ChannelConfig::with_depth(1)),
+            service,
             ns: NameClient::new(ns),
             iface,
             params,
@@ -84,7 +87,7 @@ impl CachingProxy {
             cache: HashMap::new(),
             order: VecDeque::new(),
             len: 0,
-            write_behind: None,
+            write_behind: false,
             bulk: None,
             stats: ProxyStats::default(),
         };
@@ -139,15 +142,16 @@ impl CachingProxy {
     }
 
     /// Switches writes to write-behind: instead of blocking on a round
-    /// trip, write ops are staged on a pipelined [`Channel`] and the
-    /// call returns `Value::Null` immediately. The proxy still
-    /// invalidates its own tags on write, and a read *miss* drains the
-    /// channel before going remote, so the client continues to read its
-    /// own writes. Durability is deferred: a write is only known to have
+    /// trip, write ops are staged on the proxy's channel, now pipelined
+    /// with `cfg`, and the call returns `Value::Null` immediately. The
+    /// proxy still invalidates its own tags on write, and a read *miss*
+    /// drains the channel before going remote, so the client continues
+    /// to read its own writes. Durability is deferred: a write is only known to have
     /// executed once the channel drains ([`Proxy::poll`] makes progress;
     /// [`Proxy::detach`] drains fully).
     pub fn enable_write_behind(&mut self, cfg: ChannelConfig) {
-        self.write_behind = Some(Channel::new(self.service.clone(), self.rpc.server(), cfg));
+        self.rpc = Channel::new(self.service.clone(), self.rpc.server(), cfg);
+        self.write_behind = true;
     }
 
     /// Enables the out-of-band bulk data plane (see
@@ -352,14 +356,23 @@ impl CachingProxy {
         }
     }
 
-    /// Routes one-way notifications the write-behind channel absorbed
-    /// while pumping, then puts the channel back.
-    fn route_channel_strays(&mut self, ch: &mut Channel, strays: &mut dyn OnewaySink) {
-        for o in ch.take_strays() {
-            if o.args.get("svc").and_then(Value::as_str) == Some(self.service.as_str()) {
-                self.handle_oneway(&o);
-            } else {
-                strays.push(o);
+    /// Routes the strays the channel absorbed while pumping staged
+    /// writes: invalidations for this service apply at once, other
+    /// one-ways and requests go to `strays`.
+    fn route_channel_strays(&mut self, ctx: &Ctx, strays: &mut dyn OnewaySink) {
+        for msg in self.rpc.take_strays() {
+            match Packet::from_frame(&msg.payload) {
+                Ok(Packet::Oneway(o))
+                    if o.args.get("svc").and_then(Value::as_str) == Some(self.service.as_str()) =>
+                {
+                    self.handle_oneway(&o);
+                }
+                Ok(Packet::Oneway(o)) => strays.push(o),
+                _ => {
+                    if !strays.push_request(&msg) {
+                        ctx.obs().on_stray_dropped();
+                    }
+                }
             }
         }
     }
@@ -371,13 +384,12 @@ impl CachingProxy {
         ctx: &mut Ctx,
         strays: &mut dyn OnewaySink,
     ) -> Result<(), RpcError> {
-        let Some(mut ch) = self.write_behind.take() else {
+        if !self.write_behind {
             return Ok(());
-        };
-        let r = ch.poll(ctx);
-        ch.reap_settled();
-        self.route_channel_strays(&mut ch, strays);
-        self.write_behind = Some(ch);
+        }
+        let r = self.rpc.poll(ctx);
+        self.rpc.reap_settled();
+        self.route_channel_strays(ctx, strays);
         r
     }
 
@@ -389,13 +401,12 @@ impl CachingProxy {
         ctx: &mut Ctx,
         strays: &mut dyn OnewaySink,
     ) -> Result<(), RpcError> {
-        let Some(mut ch) = self.write_behind.take() else {
+        if !self.write_behind {
             return Ok(());
-        };
-        let r = ch.wait_all(ctx);
-        ch.reap_settled();
-        self.route_channel_strays(&mut ch, strays);
-        self.write_behind = Some(ch);
+        }
+        let r = self.rpc.wait_all(ctx);
+        self.rpc.reap_settled();
+        self.route_channel_strays(ctx, strays);
         r
     }
 
@@ -422,7 +433,7 @@ impl Proxy for CachingProxy {
         args: Value,
         strays: &mut dyn OnewaySink,
     ) -> Result<Value, RpcError> {
-        if self.write_behind.is_some() {
+        if self.write_behind {
             // The channel drains the mailbox itself: replies feed its
             // outstanding calls, one-ways come back via take_strays.
             // A raw drain here would eat the channel's replies.
@@ -492,20 +503,15 @@ impl Proxy for CachingProxy {
                 // carries only the fixed-size reference, so asynchronous
                 // writes stay cheap on the RPC path too.
                 let args = self.bulk_spill(ctx, args, strays)?;
-                if self.write_behind.is_some() {
+                if self.write_behind {
                     // Write-behind: stage the call on the pipelined
                     // channel and return immediately. The channel's
                     // retransmission timers and the server's duplicate
                     // window keep execution at-most-once; the local
                     // invalidation below plus the flush-on-miss above
                     // keep read-your-writes.
-                    let mut ch = self.write_behind.take().expect("checked is_some");
-                    ch.begin_call(ctx, op, args);
-                    let r = ch.poll(ctx);
-                    ch.reap_settled();
-                    self.route_channel_strays(&mut ch, strays);
-                    self.write_behind = Some(ch);
-                    r?;
+                    self.rpc.begin_call(ctx, op, args);
+                    self.pump_write_behind(ctx, strays)?;
                     self.invalidate_tag(&tag);
                     return Ok(Value::Null);
                 }
@@ -552,7 +558,7 @@ impl Proxy for CachingProxy {
     fn poll(&mut self, ctx: &mut Ctx) {
         let mut sink: Vec<rpc::Oneway> = Vec::new();
         let _ = self.pump_write_behind(ctx, &mut sink);
-        if self.write_behind.is_none() && self.subscribed {
+        if !self.write_behind && self.subscribed {
             self.drain_mailbox(ctx, &mut sink);
             // Strays for other services found during a poll cannot be
             // routed from here; the runtime's pump drains the mailbox
@@ -594,7 +600,11 @@ mod tests {
     fn bare_proxy(capacity: usize, coherence: Coherence) -> CachingProxy {
         CachingProxy {
             service: "svc".into(),
-            rpc: RpcClient::new(Endpoint::new(NodeId(0), PortId(1))),
+            rpc: Channel::new(
+                "svc",
+                Endpoint::new(NodeId(0), PortId(1)),
+                ChannelConfig::with_depth(1),
+            ),
             ns: NameClient::new(Endpoint::new(NodeId(0), PortId(2))),
             iface: InterfaceDesc::new("svc", []),
             params: CachingParams {
@@ -605,7 +615,7 @@ mod tests {
             cache: HashMap::new(),
             order: VecDeque::new(),
             len: 0,
-            write_behind: None,
+            write_behind: false,
             bulk: None,
             stats: ProxyStats::default(),
         }

@@ -11,7 +11,7 @@
 //! while clients keep calling through the same interface.
 
 use naming::NameClient;
-use rpc::{ErrorCode, RpcClient, RpcError};
+use rpc::{Channel, ChannelConfig, ErrorCode, RpcError};
 use simnet::{Ctx, Endpoint};
 use wire::Value;
 
@@ -24,7 +24,7 @@ use crate::proxy::{protocol, OnewaySink, Proxy, ProxyStats};
 /// client proves to be a heavy user.
 pub struct MigratoryProxy {
     service: String,
-    rpc: RpcClient,
+    rpc: Channel,
     ns: NameClient,
     iface: InterfaceDesc,
     factories: FactoryRegistry,
@@ -58,9 +58,10 @@ impl MigratoryProxy {
         factories: FactoryRegistry,
         threshold: u64,
     ) -> MigratoryProxy {
+        let service = service.into();
         MigratoryProxy {
-            service: service.into(),
-            rpc: RpcClient::new(server),
+            rpc: Channel::new(service.clone(), server, ChannelConfig::with_depth(1)),
+            service,
             ns: NameClient::new(ns),
             iface,
             factories,

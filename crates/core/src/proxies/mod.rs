@@ -23,11 +23,11 @@ pub use migratory::MigratoryProxy;
 pub use stub::StubProxy;
 
 use naming::NameClient;
-use rpc::{endpoint_from_value, ErrorCode, RpcClient, RpcError, Stray, StrayVerdict};
+use rpc::{endpoint_from_value, Channel, ErrorCode, RpcError};
 use simnet::Ctx;
 use wire::Value;
 
-use crate::proxy::{OnewaySink, ProxyStats};
+use crate::proxy::{route_strays, OnewaySink, ProxyStats};
 
 /// Cap on `Moved` redirects followed within one logical call; bounds the
 /// cost of pathological forwarding chains.
@@ -42,7 +42,7 @@ pub(crate) const MAX_REDIRECTS: u32 = 16;
 /// object's true home and later calls pay a single hop.
 #[allow(clippy::too_many_arguments)] // internal plumbing shared by every proxy
 pub(crate) fn robust_call(
-    rpc: &mut RpcClient,
+    rpc: &mut Channel,
     ns: &mut NameClient,
     service: &str,
     ctx: &mut Ctx,
@@ -54,24 +54,8 @@ pub(crate) fn robust_call(
     let mut redirects = 0;
     let mut relookups = 0;
     loop {
-        let result = rpc.call_with_strays(ctx, "", op, args.clone(), |_ctx, stray| {
-            match stray {
-                Stray::Oneway(o, _) => {
-                    strays.push((*o).clone());
-                    StrayVerdict::Consumed
-                }
-                // A request landing here mid-call (this process is also
-                // a server, e.g. an edge cache blocked on its origin):
-                // offer it to the sink for requeueing.
-                Stray::Request(_, m) => {
-                    if strays.push_request(m) {
-                        StrayVerdict::Consumed
-                    } else {
-                        StrayVerdict::Drop
-                    }
-                }
-            }
-        });
+        let result = rpc.call(ctx, op, args.clone());
+        route_strays(ctx, rpc, strays);
         match result {
             Err(RpcError::Remote(ref e)) if e.code == ErrorCode::Moved => {
                 if redirects >= MAX_REDIRECTS {

@@ -1,13 +1,13 @@
 //! The stub proxy: marshal and forward.
 
 use naming::NameClient;
-use rpc::{Channel, ChannelConfig, RpcClient, RpcError};
+use rpc::{Channel, ChannelConfig, RpcError};
 use simnet::{Ctx, Endpoint};
 use wire::Value;
 
 use super::robust_call;
 use crate::bulk::{BulkEngine, BulkParams};
-use crate::proxy::{OnewaySink, Proxy, ProxyStats};
+use crate::proxy::{route_strays, OnewaySink, Proxy, ProxyStats};
 
 /// The degenerate proxy: every invocation becomes one remote call.
 ///
@@ -18,7 +18,7 @@ use crate::proxy::{OnewaySink, Proxy, ProxyStats};
 #[derive(Debug)]
 pub struct StubProxy {
     service: String,
-    rpc: RpcClient,
+    rpc: Channel,
     ns: NameClient,
     stats: ProxyStats,
     bulk: Option<BulkEngine>,
@@ -28,9 +28,10 @@ impl StubProxy {
     /// Creates a stub proxy for `service` at `server`, using the name
     /// server at `ns` for rebinds.
     pub fn new(service: impl Into<String>, server: Endpoint, ns: Endpoint) -> StubProxy {
+        let service = service.into();
         StubProxy {
-            service: service.into(),
-            rpc: RpcClient::new(server),
+            rpc: Channel::new(service.clone(), server, ChannelConfig::with_depth(1)),
+            service,
             ns: NameClient::new(ns),
             stats: ProxyStats::default(),
             bulk: None,
@@ -63,8 +64,8 @@ impl StubProxy {
     /// trips — the stub's answer to the caching proxy's latency tricks
     /// when every result is really needed.
     ///
-    /// One-way notifications that arrive while the channel pumps are
-    /// routed to `strays`. Unlike [`Proxy::invoke`], this path does not
+    /// One-way notifications and requests that arrive while the channel
+    /// pumps are handed to `strays`. Unlike [`Proxy::invoke`], this path does not
     /// chase `Moved` redirects: a migration mid-pipeline surfaces as
     /// that call's error entry.
     ///
@@ -90,9 +91,7 @@ impl StubProxy {
             .collect();
         ch.wait_all(ctx)?;
         let results = handles.into_iter().map(|h| ch.wait(ctx, h)).collect();
-        for o in ch.take_strays() {
-            strays.push(o);
-        }
+        route_strays(ctx, &mut ch, strays);
         Ok(results)
     }
 }

@@ -6,7 +6,7 @@
 //! is the service's business, selected by the [`crate::ProxySpec`] it
 //! published.
 
-use rpc::{Oneway, RpcError};
+use rpc::{Channel, Oneway, Packet, RpcError};
 use simnet::{Ctx, Message};
 use wire::Value;
 
@@ -48,7 +48,7 @@ pub use obs::ProxyStats;
 
 /// Collects one-way notifications that arrive while a proxy is blocked
 /// in a call but belong to *other* proxies in the same context. The
-/// [`crate::ClientRuntime`] routes them after the call returns.
+/// [`crate::SessionCore`] routes them after the call returns.
 pub trait OnewaySink {
     /// Queues a notification for later routing.
     fn push(&mut self, oneway: Oneway);
@@ -67,6 +67,24 @@ pub trait OnewaySink {
 impl OnewaySink for Vec<Oneway> {
     fn push(&mut self, oneway: Oneway) {
         Vec::push(self, oneway);
+    }
+}
+
+/// Hands `sink` the strays a channel absorbed while pumping, in arrival
+/// order: one-way notifications are queued for routing, and requests
+/// (this process is also a server, e.g. an edge cache blocked on its
+/// origin) are offered for requeueing. A request the sink declines
+/// counts as dropped; the sender's retransmission recovers it.
+pub fn route_strays(ctx: &Ctx, chan: &mut Channel, sink: &mut dyn OnewaySink) {
+    for msg in chan.take_strays() {
+        match Packet::from_frame(&msg.payload) {
+            Ok(Packet::Oneway(o)) => sink.push(o),
+            _ => {
+                if !sink.push_request(&msg) {
+                    ctx.obs().on_stray_dropped();
+                }
+            }
+        }
     }
 }
 
@@ -108,7 +126,7 @@ pub trait Proxy: Send {
     fn poll(&mut self, _ctx: &mut Ctx) {}
 
     /// Cleanly unbinds: unsubscribe, check state back in. Called by
-    /// [`crate::ClientRuntime::unbind`] and before client exit.
+    /// [`crate::SessionCore::unbind`] and before client exit.
     fn detach(&mut self, _ctx: &mut Ctx) {}
 
     /// Current counters.

@@ -1,15 +1,15 @@
-//! A client session: the runtime and its simulation context, bundled.
+//! A client session: the session engine and its simulation context,
+//! bundled.
 //!
 //! Every client-side operation needs the same two-object pair — the
-//! [`ClientRuntime`] holding the proxies and the [`Ctx`] the process
-//! runs in. Threading `(rt, ctx)` through every typed-client method
+//! [`SessionCore`] holding the proxies and the [`Ctx`] the process
+//! runs in. Threading `(core, ctx)` through every typed-client method
 //! doubled each signature and invited argument-order slips.
 //! [`Session`] borrows both once; typed clients (and application code)
 //! take a single `&mut Session<'_>`.
 //!
 //! `Session` is the *blocking* face of the session engine: every method
-//! forwards through [`ClientRuntime`] to
-//! [`SessionCore`](crate::SessionCore)'s blocking surface. Poll-driven
+//! forwards to [`SessionCore`]'s blocking surface. Poll-driven
 //! processes use the same core's non-blocking surface
 //! (`bind_async`/`invoke_async`) instead — see the
 //! [`session_core`](crate::SessionCore) docs and `DESIGN.md` §8.
@@ -17,7 +17,7 @@
 //! ```
 //! use simnet::{Simulation, NetworkConfig, NodeId};
 //! use naming::spawn_name_server;
-//! use proxy_core::{ServiceBuilder, ClientRuntime, Session, ProxySpec};
+//! use proxy_core::{ServiceBuilder, SessionCore, Session, ProxySpec};
 //! # use proxy_core::{InterfaceDesc, OpDesc, ServiceObject};
 //! # use rpc::RemoteError;
 //! # use wire::Value;
@@ -38,8 +38,8 @@
 //!     .object(|| Box::new(Echo))
 //!     .spawn(&sim, NodeId(1), ns);
 //! sim.spawn("client", NodeId(2), move |ctx| {
-//!     let mut rt = ClientRuntime::new(ns);
-//!     let mut session = Session::new(&mut rt, ctx);
+//!     let mut core = SessionCore::new(ns);
+//!     let mut session = Session::new(&mut core, ctx);
 //!     let h = session.bind("echo").unwrap();
 //!     let v = session.invoke(h, "echo", Value::str("hi")).unwrap();
 //!     assert_eq!(v, Value::str("hi"));
@@ -54,27 +54,26 @@ use wire::Value;
 use rpc::RpcError;
 
 use crate::proxy::ProxyStats;
-use crate::runtime::ClientRuntime;
-use crate::session_core::ProxyHandle;
+use crate::session_core::{ProxyHandle, SessionCore};
 
-/// A borrowed `(runtime, context)` pair — the unit every client-side
+/// A borrowed `(core, context)` pair — the unit every client-side
 /// call actually operates on.
 ///
-/// `Session` owns nothing: it reborrows a [`ClientRuntime`] and the
+/// `Session` owns nothing: it reborrows a [`SessionCore`] and the
 /// process [`Ctx`] for as long as the client needs them together, and
-/// forwards to the runtime's methods. Construct it once at the top of a
-/// client body and pass `&mut session` everywhere a typed client or
-/// helper used to take the `(rt, ctx)` pair.
+/// forwards to the core's blocking methods. Construct it once at the
+/// top of a client body and pass `&mut session` everywhere a typed
+/// client or helper would otherwise take the `(core, ctx)` pair.
 #[derive(Debug)]
 pub struct Session<'a> {
-    rt: &'a mut ClientRuntime,
+    core: &'a mut SessionCore,
     ctx: &'a mut Ctx,
 }
 
 impl<'a> Session<'a> {
-    /// Bundles a runtime and a context into a session.
-    pub fn new(rt: &'a mut ClientRuntime, ctx: &'a mut Ctx) -> Session<'a> {
-        Session { rt, ctx }
+    /// Bundles a session core and a context into a session.
+    pub fn new(core: &'a mut SessionCore, ctx: &'a mut Ctx) -> Session<'a> {
+        Session { core, ctx }
     }
 
     /// Binds to `service`, waiting up to 100ms of virtual time for it to
@@ -84,12 +83,12 @@ impl<'a> Session<'a> {
     ///
     /// See [`crate::Binder::bind_wait`].
     pub fn bind(&mut self, service: &str) -> Result<ProxyHandle, RpcError> {
-        self.rt.bind(self.ctx, service)
+        self.core.bind(self.ctx, service)
     }
 
     /// Invokes an operation through a bound proxy.
     ///
-    /// See [`ClientRuntime::invoke`] for span and metrics behaviour.
+    /// See [`SessionCore::invoke`] for span and metrics behaviour.
     ///
     /// # Errors
     ///
@@ -97,53 +96,53 @@ impl<'a> Session<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the handle did not come from this session's runtime.
+    /// Panics if the handle did not come from this session's core.
     pub fn invoke(
         &mut self,
         handle: ProxyHandle,
         op: &str,
         args: Value,
     ) -> Result<Value, RpcError> {
-        self.rt.invoke(self.ctx, handle, op, args)
+        self.core.invoke(self.ctx, handle, op, args)
     }
 
     /// Hosts an object directly in this context under `service` (the
-    /// same-context fast path). See [`ClientRuntime::host_local`].
+    /// same-context fast path). See [`SessionCore::host_local`].
     pub fn host_local(
         &mut self,
         service: impl Into<String>,
         object: Box<dyn crate::ServiceObject>,
     ) -> ProxyHandle {
-        self.rt.host_local(service, object)
+        self.core.host_local(service, object)
     }
 
     /// Drains the mailbox, routes notifications and polls proxies. See
-    /// [`ClientRuntime::pump`].
+    /// [`SessionCore::pump`].
     pub fn pump(&mut self) {
-        self.rt.pump(self.ctx);
+        self.core.pump(self.ctx);
     }
 
     /// Stats for one proxy.
     ///
     /// # Panics
     ///
-    /// Panics if the handle did not come from this session's runtime.
+    /// Panics if the handle did not come from this session's core.
     pub fn stats(&self, handle: ProxyHandle) -> ProxyStats {
-        self.rt.stats(handle)
+        self.core.stats(handle)
     }
 
     /// Cleanly detaches one proxy.
     ///
     /// # Panics
     ///
-    /// Panics if the handle did not come from this session's runtime.
+    /// Panics if the handle did not come from this session's core.
     pub fn unbind(&mut self, handle: ProxyHandle) {
-        self.rt.unbind(self.ctx, handle);
+        self.core.unbind(self.ctx, handle);
     }
 
     /// Detaches every proxy (call before client exit).
     pub fn shutdown(&mut self) {
-        self.rt.shutdown(self.ctx);
+        self.core.shutdown(self.ctx);
     }
 
     /// The simulation context (for time, randomness, raw messaging).
@@ -151,15 +150,15 @@ impl<'a> Session<'a> {
         self.ctx
     }
 
-    /// The underlying runtime (to register custom proxies, etc.).
-    pub fn runtime(&mut self) -> &mut ClientRuntime {
-        self.rt
+    /// The underlying session core (to register custom proxies, etc.).
+    pub fn core(&mut self) -> &mut SessionCore {
+        self.core
     }
 
     /// Splits the session back into its parts, for code paths that need
     /// both with independent lifetimes.
-    pub fn parts(&mut self) -> (&mut ClientRuntime, &mut Ctx) {
-        (self.rt, self.ctx)
+    pub fn parts(&mut self) -> (&mut SessionCore, &mut Ctx) {
+        (self.core, self.ctx)
     }
 }
 
@@ -191,8 +190,8 @@ mod tests {
         let mut sim = Simulation::new(NetworkConfig::lan(), 3);
         let ns = naming::spawn_name_server(&sim, NodeId(0));
         sim.spawn("client", NodeId(1), move |ctx| {
-            let mut rt = ClientRuntime::new(ns);
-            let mut session = Session::new(&mut rt, ctx);
+            let mut core = SessionCore::new(ns);
+            let mut session = Session::new(&mut core, ctx);
             let h = session.host_local("echo", Box::new(Echo));
             let v = session.invoke(h, "echo", Value::str("x")).unwrap();
             assert_eq!(v, Value::str("x"));

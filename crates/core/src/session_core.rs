@@ -6,9 +6,8 @@
 //!
 //! * **Blocking** ([`SessionCore::bind`], [`SessionCore::invoke`], …):
 //!   the classic call-and-wait style used by thread-backed processes.
-//!   [`ClientRuntime`](crate::ClientRuntime) and
-//!   [`Session`](crate::Session) are thin shims over these methods —
-//!   the paper's proxy interface, unchanged.
+//!   [`Session`](crate::Session) is a thin borrowed view over these
+//!   methods — the paper's proxy interface, unchanged.
 //! * **Non-blocking** ([`SessionCore::bind_async`],
 //!   [`SessionCore::invoke_async`] and their `poll_*` drivers): returns
 //!   [`BindFuture`] / [`CallFuture`] tickets a poll-driven process
@@ -90,6 +89,13 @@ enum BindState {
     Done(Result<usize, RpcError>),
     /// Result claimed.
     Claimed,
+}
+
+/// Names one of the core's channels.
+#[derive(Clone, Copy)]
+enum ChanAt {
+    Service(usize),
+    Bind(usize),
 }
 
 /// One service bound through the async surface: a pipelined channel to
@@ -388,12 +394,12 @@ impl SessionCore {
             match state {
                 BindState::Resolving {
                     service,
-                    chan,
                     call,
                     deadline,
+                    ..
                 } => {
                     let (service, deadline, call) = (service.clone(), *deadline, *call);
-                    match chan.poll_wait(cx, call) {
+                    match self.poll_channel(cx, ChanAt::Bind(f.0), call) {
                         Poll::Pending => return Poll::Pending,
                         Poll::Ready(Ok(rep)) => {
                             let settled = self.settle_bind(&service, &rep);
@@ -515,12 +521,64 @@ impl SessionCore {
     ///
     /// Panics if the future did not come from this core.
     pub fn poll_call(&mut self, cx: &mut ProcCx, f: CallFuture) -> Poll<Result<Value, RpcError>> {
-        let r = self.services[f.svc].chan.poll_wait(cx, f.call);
+        let r = self.poll_channel(cx, ChanAt::Service(f.svc), f.call);
         // The caller may park after this without polling its other
         // futures this pass; make sure no channel in the core is left
         // with an unarmed (possibly earlier) retransmit deadline.
         self.arm_all_deadlines(cx);
         r
+    }
+
+    /// Drives one of the core's channels and claims `call` once it has
+    /// settled. The channel drains the whole mailbox, so it may absorb
+    /// replies for calls begun on a sibling channel; call ids are unique
+    /// per process, so each such reply goes to the channel that owns its
+    /// id, and counts as stale only when no channel does.
+    fn poll_channel(
+        &mut self,
+        cx: &mut ProcCx,
+        at: ChanAt,
+        call: rpc::CallHandle,
+    ) -> Poll<Result<Value, RpcError>> {
+        let foreign = match self.channel_mut(at).poll_shared(cx.ctx()) {
+            Ok(foreign) => foreign,
+            Err(e) => return Poll::Ready(Err(e)),
+        };
+        for (src, rep) in foreign {
+            let owner = self.channels_mut().find(|c| c.owns(rep.call_id));
+            if let Some(owner) = owner {
+                owner.deliver(cx.ctx(), src, rep);
+                // The owner's future may already have been polled this
+                // pass; re-poll so the caller does not park on a call
+                // that has settled without a wake of its own.
+                cx.yield_now();
+            } else {
+                self.channel_mut(at).deliver(cx.ctx(), src, rep);
+            }
+        }
+        match self.channel_mut(at).try_take(call) {
+            Some(result) => Poll::Ready(result),
+            None => Poll::Pending,
+        }
+    }
+
+    fn channel_mut(&mut self, at: ChanAt) -> &mut Channel {
+        match at {
+            ChanAt::Service(i) => &mut self.services[i].chan,
+            ChanAt::Bind(i) => match &mut self.binds[i] {
+                BindState::Resolving { chan, .. } => chan,
+                _ => unreachable!("only a resolving bind owns a channel"),
+            },
+        }
+    }
+
+    /// Every channel the core owns: bound services and in-flight binds.
+    fn channels_mut(&mut self) -> impl Iterator<Item = &mut Channel> {
+        let binds = self.binds.iter_mut().filter_map(|b| match b {
+            BindState::Resolving { chan, .. } => Some(&mut **chan),
+            _ => None,
+        });
+        self.services.iter_mut().map(|s| &mut s.chan).chain(binds)
     }
 
     /// Arms a timer wake at the earliest retransmit deadline across

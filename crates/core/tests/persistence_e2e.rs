@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use naming::spawn_name_server;
 use proxy_core::{
-    CheckpointPolicy, ClientRuntime, FactoryRegistry, InterfaceDesc, OpDesc, ProxySpec,
-    ServiceBuilder, ServiceObject, StableStore,
+    CheckpointPolicy, FactoryRegistry, InterfaceDesc, OpDesc, ProxySpec, ServiceBuilder,
+    ServiceObject, SessionCore, StableStore,
 };
 use rpc::{ErrorCode, RemoteError, RpcError};
 use simnet::{Ctx, NetworkConfig, NodeId, Simulation};
@@ -73,7 +73,7 @@ fn factories() -> FactoryRegistry {
     FactoryRegistry::new().register("pkv", Kv::from_snapshot)
 }
 
-fn put(rt: &mut ClientRuntime, ctx: &mut Ctx, h: proxy_core::ProxyHandle, k: &str, v: &str) {
+fn put(rt: &mut SessionCore, ctx: &mut Ctx, h: proxy_core::ProxyHandle, k: &str, v: &str) {
     rt.invoke(
         ctx,
         h,
@@ -84,7 +84,7 @@ fn put(rt: &mut ClientRuntime, ctx: &mut Ctx, h: proxy_core::ProxyHandle, k: &st
 }
 
 fn get(
-    rt: &mut ClientRuntime,
+    rt: &mut SessionCore,
     ctx: &mut Ctx,
     h: proxy_core::ProxyHandle,
     k: &str,
@@ -104,7 +104,7 @@ fn checkpoints_are_written_on_schedule() {
         .object(|| Box::new(Kv::default()))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         // 2 writes: below the interval, no checkpoint yet.
         put(&mut rt, ctx, kv, "a", "1");
@@ -134,7 +134,7 @@ fn crash_restart_recovers_last_checkpoint_and_clients_rebind() {
     let v2 = Arc::clone(&verified);
     let store2 = store.clone();
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         put(&mut rt, ctx, kv, "a", "1");
         put(&mut rt, ctx, kv, "b", "2"); // checkpoint happens here
@@ -192,7 +192,7 @@ fn recovery_with_empty_store_starts_fresh() {
         })
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         assert_eq!(get(&mut rt, ctx, kv, "seeded").unwrap(), Value::str("yes"));
     });
@@ -215,7 +215,7 @@ fn checkpoints_are_per_node() {
     }
     let s2 = store.clone();
     sim.spawn("client", NodeId(3), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let a = rt.bind(ctx, "kv-a").unwrap();
         let b = rt.bind(ctx, "kv-b").unwrap();
         put(&mut rt, ctx, a, "x", "from-a");

@@ -13,8 +13,8 @@ use std::time::Duration;
 use naming::spawn_name_server;
 use proptest::prelude::*;
 use proxy_core::{
-    AdaptiveParams, CachingParams, ClientRuntime, Coherence, InterfaceDesc, OpDesc, OpKind,
-    ProxySpec, ReadTarget, ServiceBuilder, ServiceObject,
+    AdaptiveParams, CachingParams, Coherence, InterfaceDesc, OpDesc, OpKind, ProxySpec, ReadTarget,
+    ServiceBuilder, ServiceObject, SessionCore,
 };
 use rpc::{ErrorCode, RemoteError};
 use simnet::{Ctx, Endpoint, NetworkConfig, NodeId, PortId, Simulation};
@@ -212,7 +212,7 @@ fn run_model(steps: Vec<Step>, coherence: Coherence, seed: u64) -> Result<(), Te
     let failure: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
     let f2 = Arc::clone(&failure);
     sim.spawn("driver", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         let mut oracle: BTreeMap<String, String> = BTreeMap::new();
         for (i, step) in steps.iter().enumerate() {

@@ -8,8 +8,8 @@ use std::time::Duration;
 
 use naming::spawn_name_server;
 use proxy_core::{
-    AdaptiveParams, CachingParams, ClientRuntime, Coherence, DiscardStrays, FactoryRegistry,
-    InterfaceDesc, OpDesc, Proxy, ProxySpec, ServiceBuilder, ServiceObject,
+    AdaptiveParams, CachingParams, Coherence, DiscardStrays, FactoryRegistry, InterfaceDesc,
+    OpDesc, Proxy, ProxySpec, ServiceBuilder, ServiceObject, SessionCore,
 };
 use rpc::{ErrorCode, RemoteError};
 use simnet::{Ctx, NetworkConfig, NodeId, Simulation};
@@ -115,7 +115,7 @@ fn stub_proxy_forwards_everything() {
         .object(|| Box::new(Kv::default()))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         rt.invoke(ctx, kv, "put", put_args("a", "1")).unwrap();
         for _ in 0..5 {
@@ -146,7 +146,7 @@ fn caching_proxy_hits_after_first_read() {
         .object(move || Box::new(Kv::with_counter(d)))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         rt.invoke(ctx, kv, "put", put_args("a", "1")).unwrap();
         for _ in 0..10 {
@@ -172,7 +172,7 @@ fn caching_proxy_reads_own_writes() {
         .object(|| Box::new(Kv::default()))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         rt.invoke(ctx, kv, "put", put_args("a", "1")).unwrap();
         assert_eq!(
@@ -206,7 +206,7 @@ fn invalidations_propagate_between_clients() {
     // Reader caches "a", then waits; writer updates "a"; reader must see
     // the new value after the invalidation arrives.
     sim.spawn("reader", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         rt.invoke(ctx, kv, "put", put_args("a", "old")).unwrap();
         assert_eq!(
@@ -224,7 +224,7 @@ fn invalidations_propagate_between_clients() {
     });
     sim.spawn("writer", NodeId(3), move |ctx| {
         ctx.sleep(Duration::from_millis(20)).unwrap();
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         rt.invoke(ctx, kv, "put", put_args("a", "new")).unwrap();
     });
@@ -246,7 +246,7 @@ fn lease_coherence_expires_entries() {
         .object(move || Box::new(Kv::with_counter(d)))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         rt.invoke(ctx, kv, "put", put_args("a", "1")).unwrap();
         // Fill, then hit within the lease.
@@ -274,7 +274,7 @@ fn cache_capacity_is_bounded() {
         .object(|| Box::new(Kv::default()))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         for i in 0..16 {
             let k = format!("k{i}");
@@ -307,7 +307,7 @@ fn migratory_proxy_localizes_after_threshold() {
         .object(|| Box::new(Kv::default()))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns).with_factories(factories);
+        let mut rt = SessionCore::new(ns).with_factories(factories);
         let kv = rt.bind(ctx, "kv").unwrap();
         rt.invoke(ctx, kv, "put", put_args("a", "1")).unwrap();
         for _ in 0..20 {
@@ -346,7 +346,7 @@ fn migratory_object_recalled_for_second_client() {
 
     let fa = factories.clone();
     sim.spawn("client-a", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns).with_factories(fa);
+        let mut rt = SessionCore::new(ns).with_factories(fa);
         let kv = rt.bind(ctx, "kv").unwrap();
         // Trigger migration to A.
         rt.invoke(ctx, kv, "put", put_args("a", "from-a")).unwrap();
@@ -371,7 +371,7 @@ fn migratory_object_recalled_for_second_client() {
     let fb = factories;
     sim.spawn("client-b", NodeId(3), move |ctx| {
         ctx.sleep(Duration::from_millis(30)).unwrap();
-        let mut rt = ClientRuntime::new(ns).with_factories(fb);
+        let mut rt = SessionCore::new(ns).with_factories(fb);
         let kv = rt.bind(ctx, "kv").unwrap();
         // The object is checked out to A; our calls bounce with
         // Unavailable until A checks in. Retry with backoff.
@@ -412,7 +412,7 @@ fn adaptive_proxy_switches_with_workload() {
         .object(|| Box::new(Kv::default()))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let kv = rt.bind(ctx, "kv").unwrap();
         rt.invoke(ctx, kv, "put", put_args("a", "1")).unwrap();
 
@@ -447,7 +447,7 @@ fn adaptive_proxy_switches_with_workload() {
 fn service_switches_spec_without_client_change() {
     // The encapsulation claim: the same client code works when the
     // service changes its published proxy from stub to caching.
-    fn client_workload(rt: &mut ClientRuntime, ctx: &mut Ctx) -> u64 {
+    fn client_workload(rt: &mut SessionCore, ctx: &mut Ctx) -> u64 {
         let kv = rt.bind(ctx, "kv").unwrap();
         rt.invoke(ctx, kv, "put", put_args("a", "1")).unwrap();
         for _ in 0..20 {
@@ -479,7 +479,7 @@ fn service_switches_spec_without_client_change() {
         let calls = Arc::new(AtomicU64::new(0));
         let c = Arc::clone(&calls);
         sim.spawn("client", NodeId(2), move |ctx| {
-            let mut rt = ClientRuntime::new(ns);
+            let mut rt = SessionCore::new(ns);
             c.store(client_workload(&mut rt, ctx), Ordering::SeqCst);
         });
         sim.run();
@@ -530,7 +530,7 @@ fn custom_proxy_kind_via_factory() {
     let count = Arc::new(AtomicU64::new(0));
     let c = Arc::clone(&count);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let c2 = Arc::clone(&c);
         rt.binder_mut().register_proxy("counting", move |_ctx, bc| {
             Ok(Box::new(CountingProxy {
@@ -559,7 +559,7 @@ fn unknown_custom_kind_fails_bind() {
         .object(|| Box::new(Kv::default()))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let err = rt.bind(ctx, "kv").unwrap_err();
         match err {
             rpc::RpcError::Remote(e) => assert_eq!(e.code, ErrorCode::Unavailable),

@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use naming::spawn_name_server;
 use proxy_core::{
-    CachingParams, ClientRuntime, Coherence, InterfaceDesc, OpDesc, ProxySpec, ServiceBuilder,
-    ServiceObject,
+    CachingParams, Coherence, InterfaceDesc, OpDesc, ProxySpec, ServiceBuilder, ServiceObject,
+    SessionCore,
 };
 use rpc::{ErrorCode, RemoteError};
 use simnet::{Ctx, NetworkConfig, NodeId, Simulation};
@@ -89,7 +89,7 @@ fn invalidation_for_proxy_a_arriving_during_call_to_b_is_routed() {
     let observed = Arc::new(AtomicU64::new(0));
     let o2 = Arc::clone(&observed);
     sim.spawn("observer", NodeId(3), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let a = rt.bind(ctx, "svc-a").unwrap();
         let b = rt.bind(ctx, "svc-b").unwrap();
         // Prime A's cache.
@@ -116,7 +116,7 @@ fn invalidation_for_proxy_a_arriving_during_call_to_b_is_routed() {
         // Fire while the observer is blocked on B (B's read takes 30ms
         // and starts ~6ms in; write at 15ms lands inside the window).
         ctx.sleep(Duration::from_millis(15)).unwrap();
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let a = rt.bind(ctx, "svc-a").unwrap();
         rt.invoke(ctx, a, "put", kv("x", "new")).unwrap();
     });
@@ -141,7 +141,7 @@ fn pump_routes_notifications_while_idle() {
         })
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("observer", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let a = rt.bind(ctx, "svc-a").unwrap();
         rt.invoke(ctx, a, "put", kv("x", "old")).unwrap();
         rt.invoke(ctx, a, "get", key("x")).unwrap(); // cached
@@ -156,7 +156,7 @@ fn pump_routes_notifications_while_idle() {
     });
     sim.spawn("writer", NodeId(3), move |ctx| {
         ctx.sleep(Duration::from_millis(10)).unwrap();
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let a = rt.bind(ctx, "svc-a").unwrap();
         rt.invoke(ctx, a, "put", kv("x", "new")).unwrap();
     });

@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use proxy_core::{
-    AsyncHandle, BindFuture, CallFuture, ClientRuntime, InterfaceDesc, OpDesc, ProxySpec,
-    ServiceBuilder, ServiceObject, Session, SessionCore,
+    AsyncHandle, BindFuture, CallFuture, InterfaceDesc, OpDesc, ProxySpec, ServiceBuilder,
+    ServiceObject, Session, SessionCore,
 };
 use rpc::{ErrorCode, RemoteError};
 use simnet::{NetworkConfig, NodeId, Poll, ProcCx, Process, Simulation};
@@ -76,7 +76,7 @@ fn blocking_run(seed: u64) -> RunShape {
     let results = Arc::new(Mutex::new(Vec::new()));
     let r2 = Arc::clone(&results);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let mut session = Session::new(&mut rt, ctx);
         let h = session.bind("adder").unwrap();
         for i in 0..CALLS {
@@ -228,4 +228,76 @@ fn async_surface_refuses_smart_proxy_specs() {
     });
     sim.run();
     assert_eq!(refused.load(Ordering::Relaxed), 1);
+}
+
+#[test]
+fn sibling_channels_in_one_core_keep_their_replies() {
+    // One poll-driven core with two services bound: each channel drains
+    // the whole mailbox when polled, so it also absorbs the reply to its
+    // sibling's call. That reply must reach the sibling's call — on a
+    // lossless LAN nothing may retransmit or be counted stale.
+    let mut sim = Simulation::new(NetworkConfig::lan(), 5);
+    let ns = naming::spawn_name_server(&sim, NodeId(0));
+    for (svc, node) in [("adder-a", NodeId(1)), ("adder-b", NodeId(2))] {
+        ServiceBuilder::new(svc)
+            .spec(ProxySpec::Stub)
+            .object(|| Box::new(Adder(0)))
+            .spawn(&sim, node, ns);
+    }
+    let stats = Arc::new(Mutex::new(Vec::new()));
+    let s2 = Arc::clone(&stats);
+    let mut core = SessionCore::new(ns);
+    let mut binds: Option<[BindFuture; 2]> = None;
+    let mut handles: [Option<AsyncHandle>; 2] = [None, None];
+    let mut calls: [Option<CallFuture>; 2] = [None, None];
+    let mut results: [Option<u64>; 2] = [None, None];
+    sim.spawn_poll("client", NodeId(3), move |cx: &mut ProcCx| {
+        let fs = *binds.get_or_insert_with(|| {
+            [
+                core.bind_async(cx, "adder-a"),
+                core.bind_async(cx, "adder-b"),
+            ]
+        });
+        for i in 0..2 {
+            if handles[i].is_none() {
+                if let Poll::Ready(h) = core.poll_bind(cx, fs[i]) {
+                    handles[i] = Some(h.unwrap());
+                }
+            }
+        }
+        let [Some(a), Some(b)] = handles else {
+            return Poll::Pending;
+        };
+        if calls[0].is_none() {
+            let args = Value::record([("n", Value::U64(1))]);
+            calls = [
+                Some(core.invoke_async(cx, a, "add", args.clone())),
+                Some(core.invoke_async(cx, b, "add", args)),
+            ];
+        }
+        // Poll the later call first: its channel then drains the
+        // earlier call's reply along with (or instead of) its own.
+        for i in [1, 0] {
+            if results[i].is_none() {
+                if let Poll::Ready(r) = core.poll_call(cx, calls[i].unwrap()) {
+                    results[i] = Some(r.unwrap().as_u64().unwrap());
+                }
+            }
+        }
+        if results.iter().any(Option::is_none) {
+            return Poll::Pending;
+        }
+        assert_eq!(results, [Some(1), Some(1)]);
+        *s2.lock().unwrap() = vec![core.async_stats(a), core.async_stats(b)];
+        Poll::Ready(())
+    });
+    sim.run();
+    let stats = stats.lock().unwrap();
+    assert_eq!(stats.len(), 2, "client did not finish");
+    for s in stats.iter() {
+        assert_eq!((s.retries, s.stale_replies), (0, 0), "{s:?}");
+    }
+    let report = sim.obs_report();
+    assert_eq!(report.rpc.client.retries, 0);
+    assert_eq!(report.rpc.client.stale_replies, 0);
 }

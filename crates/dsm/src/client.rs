@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rpc::{endpoint_to_value, RpcClient, RpcError};
+use rpc::{endpoint_to_value, Channel, ChannelConfig, RpcError};
 use simnet::{Ctx, Endpoint};
 use wire::Value;
 
@@ -67,7 +67,7 @@ pub struct DsmStats {
 /// forces a demotion.
 #[derive(Debug)]
 pub struct DsmClient {
-    manager: RpcClient,
+    manager: Channel,
     pager: Endpoint,
     cache: PageCache,
     page_size: usize,
@@ -86,7 +86,7 @@ impl DsmClient {
             pager_body(pctx, pager_cache)
         });
         DsmClient {
-            manager: RpcClient::new(manager),
+            manager: Channel::new("dsm", manager, ChannelConfig::with_depth(1)),
             pager,
             cache,
             page_size: 0, // learned on first fault
@@ -112,7 +112,9 @@ impl DsmClient {
                 ("page", Value::U64(page.0.into())),
                 ("pager", endpoint_to_value(self.pager)),
             ]),
-        )?;
+        );
+        self.manager.discard_strays(ctx);
+        let reply = reply?;
         let mut table = self.cache.lock();
         match reply.as_blob() {
             Some(bytes) => {

@@ -10,8 +10,8 @@ use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
 use rpc::{
-    endpoint_from_value, ErrorCode, RemoteError, Request, RpcClient, RpcError, RpcServer, Served,
-    Stray, StrayVerdict,
+    endpoint_from_value, Channel, ChannelConfig, ErrorCode, Packet, RemoteError, Request, RpcError,
+    RpcServer, Served,
 };
 use simnet::{Ctx, Endpoint, Message, NodeId, Simulation};
 use wire::Value;
@@ -81,22 +81,19 @@ impl Manager {
         op: &str,
         page: PageId,
     ) -> Result<Value, RpcError> {
-        let mut rpc = RpcClient::new(pager);
+        let mut rpc = Channel::new("pager", pager, ChannelConfig::with_depth(1));
         for _attempt in 0..32 {
-            let requeued = &mut self.requeued;
-            let result = rpc.call_with_strays(
+            let result = rpc.call(
                 ctx,
-                "",
                 op,
                 Value::record([("page", Value::U64(page.0.into()))]),
-                |_ctx, stray| match stray {
-                    Stray::Request(_, m) => {
-                        requeued.push_back((*m).clone());
-                        StrayVerdict::Consumed
-                    }
-                    Stray::Oneway(..) => StrayVerdict::Drop,
-                },
             );
+            for m in rpc.take_strays() {
+                match Packet::from_frame(&m.payload) {
+                    Ok(Packet::Request(_)) => self.requeued.push_back(m),
+                    _ => ctx.obs().on_stray_dropped(),
+                }
+            }
             match result {
                 Err(RpcError::Remote(ref e))
                     if e.code == ErrorCode::NoSuchObject && op != proto::OP_INVALIDATE =>

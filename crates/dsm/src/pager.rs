@@ -73,7 +73,7 @@ pub(crate) fn pager_body(ctx: &mut Ctx, cache: PageCache) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpc::RpcClient;
+    use rpc::{Channel, ChannelConfig};
     use simnet::{NetworkConfig, NodeId, Simulation};
 
     #[test]
@@ -91,7 +91,7 @@ mod tests {
         let pager = sim.spawn("pager", NodeId(0), move |ctx| pager_body(ctx, c2));
         let c3 = Arc::clone(&cache);
         sim.spawn("manager", NodeId(1), move |ctx| {
-            let mut rpc = RpcClient::new(pager);
+            let mut rpc = Channel::new("pager", pager, ChannelConfig::with_depth(1));
             // Downgrade returns the bytes and leaves a Read mapping.
             let v = rpc
                 .call(

@@ -25,7 +25,7 @@
 //! use simnet::{Simulation, NetworkConfig, NodeId};
 //! use naming::spawn_name_server;
 //! use migration::{spawn_migratable, request_migration, MigratableConfig, ForwardMode};
-//! use proxy_core::{ClientRuntime, FactoryRegistry, ProxySpec};
+//! use proxy_core::{SessionCore, FactoryRegistry, ProxySpec};
 //! # use proxy_core::{InterfaceDesc, OpDesc, ServiceObject};
 //! # use rpc::{RemoteError, ErrorCode};
 //! use wire::Value;
@@ -52,7 +52,7 @@
 //!     || Box::new(Reg(5)),
 //! );
 //! sim.spawn("admin+client", NodeId(2), move |ctx| {
-//!     let mut rt = ClientRuntime::new(ns);
+//!     let mut rt = SessionCore::new(ns);
 //!     let reg = rt.bind(ctx, "reg").unwrap();
 //!     assert_eq!(rt.invoke(ctx, reg, "read", Value::Null).unwrap(), Value::U64(5));
 //!     // Move the object to node 3; the old host becomes a forwarder.

@@ -3,8 +3,8 @@
 use naming::NameClient;
 use proxy_core::{protocol, FactoryRegistry, InterfaceDesc, ProxySpec, ServiceObject};
 use rpc::{
-    endpoint_from_value, endpoint_to_value, ErrorCode, RemoteError, Request, RpcClient, RpcError,
-    RpcServer,
+    endpoint_from_value, endpoint_to_value, Channel, ChannelConfig, ErrorCode, RemoteError,
+    Request, RpcError, RpcServer,
 };
 use simnet::{Ctx, Endpoint, NodeId, Simulation};
 use wire::Value;
@@ -103,15 +103,15 @@ pub fn request_migration(
     host: Endpoint,
     target: NodeId,
 ) -> Result<Endpoint, MigrationError> {
-    let mut client = RpcClient::new(host);
-    let reply = client
-        .call(
-            ctx,
-            OP_MIGRATE,
-            Value::record([("node", Value::U64(target.0.into()))]),
-        )
-        .map_err(MigrationError::Rpc)?;
+    let mut client = Channel::new("migration", host, ChannelConfig::with_depth(1));
+    let reply = client.call(
+        ctx,
+        OP_MIGRATE,
+        Value::record([("node", Value::U64(target.0.into()))]),
+    );
+    client.discard_strays(ctx);
     reply
+        .map_err(MigrationError::Rpc)?
         .get("ep")
         .and_then(|v| endpoint_from_value(v).ok())
         .ok_or(MigrationError::BadReply)
@@ -305,8 +305,10 @@ fn forwarder_body(ctx: &mut Ctx, mut rpc: RpcServer, next_hop: Endpoint, mode: F
 fn resolve_chain(ctx: &mut Ctx, first: Endpoint) -> Endpoint {
     let mut current = first;
     for _ in 0..32 {
-        let mut client = RpcClient::new(current);
-        match client.call(ctx, OP_LOCATE, Value::Null) {
+        let mut client = Channel::new("migration", current, ChannelConfig::with_depth(1));
+        let located = client.call(ctx, OP_LOCATE, Value::Null);
+        client.discard_strays(ctx);
+        match located {
             Ok(v) => match endpoint_from_value(&v) {
                 Ok(ep) if ep != current => current = ep,
                 _ => return current,

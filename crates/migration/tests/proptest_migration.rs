@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use migration::{request_migration, spawn_migratable, ForwardMode, MigratableConfig};
 use proptest::prelude::*;
-use proxy_core::{ClientRuntime, FactoryRegistry, InterfaceDesc, OpDesc, ServiceObject};
+use proxy_core::{FactoryRegistry, InterfaceDesc, OpDesc, ServiceObject, SessionCore};
 use rpc::{ErrorCode, RemoteError};
 use simnet::{Ctx, NetworkConfig, NodeId, Simulation};
 use wire::Value;
@@ -77,7 +77,7 @@ fn run_schedule(steps: Vec<Step>, mode: ForwardMode, seed: u64) -> Result<(), Te
     let failure: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
     let f2 = Arc::clone(&failure);
     sim.spawn("driver", NodeId(40), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let ctr = rt.bind(ctx, "ctr").unwrap();
         let mut expected = 0u64;
         let mut host = home;

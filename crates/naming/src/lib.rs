@@ -43,7 +43,7 @@ pub use server::{
 
 use std::collections::HashMap;
 
-use rpc::{endpoint_to_value, ErrorCode, RpcClient, RpcError};
+use rpc::{endpoint_to_value, Channel, ChannelConfig, ErrorCode, RpcError};
 use simnet::{Ctx, Endpoint};
 use wire::Value;
 
@@ -55,7 +55,11 @@ use wire::Value;
 /// resolves again.
 #[derive(Debug)]
 pub struct NameClient {
-    rpc: RpcClient,
+    ns: Endpoint,
+    /// Opened on the first call. Every session core's binder holds a
+    /// name client, and poll-driven cores never call through it, so an
+    /// unused channel would only make each of them bigger to build.
+    rpc: Option<Box<Channel>>,
     cache: HashMap<String, NameRecord>,
     /// Cache hits served without contacting the name server.
     pub cache_hits: u64,
@@ -67,11 +71,25 @@ impl NameClient {
     /// Creates a client for the name server at `ns`.
     pub fn new(ns: Endpoint) -> NameClient {
         NameClient {
-            rpc: RpcClient::new(ns),
+            ns,
+            rpc: None,
             cache: HashMap::new(),
             cache_hits: 0,
             cache_misses: 0,
         }
+    }
+
+    /// One stop-and-wait call to the name server. Datagrams for other
+    /// parts of the process that arrive meanwhile cannot be served from
+    /// here; they are discarded and counted.
+    fn call(&mut self, ctx: &mut Ctx, op: &str, args: Value) -> Result<Value, RpcError> {
+        let ns = self.ns;
+        let rpc = self
+            .rpc
+            .get_or_insert_with(|| Box::new(Channel::new("ns", ns, ChannelConfig::with_depth(1))));
+        let result = rpc.call(ctx, op, args);
+        rpc.discard_strays(ctx);
+        result
     }
 
     /// Registers (or replaces) `name` with a location and binding
@@ -87,7 +105,7 @@ impl NameClient {
         endpoint: Endpoint,
         meta: Value,
     ) -> Result<u64, RpcError> {
-        let rep = self.rpc.call(
+        let rep = self.call(
             ctx,
             "register",
             Value::record([
@@ -113,7 +131,7 @@ impl NameClient {
         endpoint: Endpoint,
         meta: Value,
     ) -> Result<u64, RpcError> {
-        let rep = self.rpc.call(
+        let rep = self.call(
             ctx,
             "update",
             Value::record([
@@ -133,7 +151,7 @@ impl NameClient {
     /// [`ErrorCode::NoSuchObject`] if the name is unknown, or any
     /// transport error.
     pub fn unregister(&mut self, ctx: &mut Ctx, name: &str) -> Result<(), RpcError> {
-        self.rpc.call(
+        self.call(
             ctx,
             "unregister",
             Value::record([("name", Value::str(name))]),
@@ -150,9 +168,7 @@ impl NameClient {
     /// [`ErrorCode::NoSuchObject`] if the name is unknown, or any
     /// transport error.
     pub fn lookup(&mut self, ctx: &mut Ctx, name: &str) -> Result<NameRecord, RpcError> {
-        let rep = self
-            .rpc
-            .call(ctx, "lookup", Value::record([("name", Value::str(name))]))?;
+        let rep = self.call(ctx, "lookup", Value::record([("name", Value::str(name))]))?;
         let rec = NameRecord::from_value(&rep)?;
         self.cache.insert(name.to_owned(), rec.clone());
         Ok(rec)
@@ -183,7 +199,7 @@ impl NameClient {
     ///
     /// Any [`RpcError`] from the underlying call.
     pub fn list(&mut self, ctx: &mut Ctx) -> Result<Vec<String>, RpcError> {
-        let rep = self.rpc.call(ctx, "list", Value::Null)?;
+        let rep = self.call(ctx, "list", Value::Null)?;
         let items = rep.get_list("names")?;
         Ok(items
             .iter()

@@ -245,8 +245,8 @@ impl MetricsSnapshot {
 
 /// Client-side RPC counters (at-most-once caller).
 ///
-/// Canonical definition; `rpc` re-exports it and each `RpcClient` keeps
-/// its own copy, while the registry aggregates across all clients.
+/// The registry aggregates these across every `rpc::Channel` in the
+/// run; each channel also keeps its own `ChannelStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CallStats {
     /// Calls issued.

@@ -8,10 +8,10 @@
 
 use naming::NameClient;
 use proxy_core::{
-    protocol, BindContext, Binder, ClientRuntime, InterfaceDesc, OnewaySink, Proxy, ProxyStats,
-    ReadTarget,
+    protocol, BindContext, Binder, InterfaceDesc, OnewaySink, Proxy, ProxyStats, ReadTarget,
+    SessionCore,
 };
-use rpc::{ErrorCode, RpcClient, RpcError};
+use rpc::{Channel, ChannelConfig, ErrorCode, RpcError};
 use simnet::{Ctx, Endpoint};
 use std::time::Duration;
 use wire::Value;
@@ -31,8 +31,8 @@ pub struct ReplicaProxyStats {
 #[derive(Debug)]
 pub struct ReplicaProxy {
     service: String,
-    primary: RpcClient,
-    reader: RpcClient,
+    primary: Channel,
+    reader: Channel,
     #[allow(dead_code)]
     ns: NameClient,
     iface: InterfaceDesc,
@@ -66,12 +66,16 @@ impl ReplicaProxy {
             ReadTarget::Nearest => {
                 let mut best: Option<(Duration, Endpoint)> = None;
                 for &r in replicas {
-                    let mut probe = RpcClient::with_policy(
+                    let mut probe = Channel::new(
+                        service.clone(),
                         r,
-                        rpc::RetryPolicy::no_retry(Duration::from_millis(50)),
+                        ChannelConfig::with_depth(1)
+                            .with_policy(rpc::RetryPolicy::no_retry(Duration::from_millis(50))),
                     );
                     let t0 = ctx.now();
-                    if probe.call(ctx, protocol::OP_PING, Value::Null).is_ok() {
+                    let pong = probe.call(ctx, protocol::OP_PING, Value::Null);
+                    probe.discard_strays(ctx);
+                    if pong.is_ok() {
                         let rtt = ctx.now() - t0;
                         if best.map(|(b, _)| rtt < b).unwrap_or(true) {
                             best = Some((rtt, r));
@@ -82,15 +86,15 @@ impl ReplicaProxy {
             }
         };
         Ok(ReplicaProxy {
-            service,
-            primary: RpcClient::new(primary),
-            reader: RpcClient::new(nearest),
+            primary: Channel::new(service.clone(), primary, ChannelConfig::with_depth(1)),
+            reader: Channel::new(service.clone(), nearest, ChannelConfig::with_depth(1)),
             ns: NameClient::new(ns),
             iface,
             min_version: 0,
             stats: ProxyStats::default(),
             replica_stats: ReplicaProxyStats::default(),
             nearest,
+            service,
         })
     }
 
@@ -105,20 +109,15 @@ impl ReplicaProxy {
     }
 
     fn call_collecting(
-        rpc: &mut RpcClient,
+        rpc: &mut Channel,
         ctx: &mut Ctx,
         op: &str,
         args: Value,
         strays: &mut dyn OnewaySink,
     ) -> Result<Value, RpcError> {
-        rpc.call_with_strays(ctx, "", op, args, |_ctx, stray| {
-            if let rpc::Stray::Oneway(o, _) = stray {
-                strays.push((*o).clone());
-                rpc::StrayVerdict::Consumed
-            } else {
-                rpc::StrayVerdict::Drop
-            }
-        })
+        let result = rpc.call(ctx, op, args);
+        proxy_core::route_strays(ctx, rpc, strays);
+        result
     }
 
     fn unwrap_versioned(&mut self, reply: Value) -> Result<Value, RpcError> {
@@ -214,9 +213,9 @@ pub fn register_replica_proxy(binder: &mut Binder) {
     });
 }
 
-/// A [`ClientRuntime`] with the replica proxy pre-registered.
-pub fn client_runtime(ns: Endpoint) -> ClientRuntime {
-    let mut rt = ClientRuntime::new(ns);
+/// A [`SessionCore`] with the replica proxy pre-registered.
+pub fn client_runtime(ns: Endpoint) -> SessionCore {
+    let mut rt = SessionCore::new(ns);
     register_replica_proxy(rt.binder_mut());
     rt
 }

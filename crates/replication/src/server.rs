@@ -15,8 +15,8 @@ use parking_lot::Mutex;
 use naming::NameClient;
 use proxy_core::{protocol, InterfaceDesc, ProxySpec, ReadTarget, ServiceObject};
 use rpc::{
-    endpoint_to_value, ErrorCode, RemoteError, Request, RpcClient, RpcError, RpcServer, Served,
-    Stray, StrayVerdict,
+    endpoint_to_value, Channel, ChannelConfig, ErrorCode, Packet, RemoteError, Request, RpcError,
+    RpcServer, Served,
 };
 use simnet::{Ctx, Endpoint, Message, NodeId, Simulation};
 use wire::Value;
@@ -262,22 +262,17 @@ impl ReplicaServer {
                         }
                         Propagation::Sync => {
                             for b in backups.iter() {
-                                let mut client = RpcClient::new(*b);
+                                let mut client =
+                                    Channel::new(service, *b, ChannelConfig::with_depth(1));
+                                let r = client.call(ctx, "_apply", update.clone());
                                 // Requests arriving during propagation are
                                 // requeued, not dropped.
-                                let r = client.call_with_strays(
-                                    ctx,
-                                    "",
-                                    "_apply",
-                                    update.clone(),
-                                    |_ctx, stray| match stray {
-                                        Stray::Request(_, m) => {
-                                            requeued.push_back((*m).clone());
-                                            StrayVerdict::Consumed
-                                        }
-                                        Stray::Oneway(..) => StrayVerdict::Drop,
-                                    },
-                                );
+                                for m in client.take_strays() {
+                                    match Packet::from_frame(&m.payload) {
+                                        Ok(Packet::Request(_)) => requeued.push_back(m),
+                                        _ => ctx.obs().on_stray_dropped(),
+                                    }
+                                }
                                 if let Err(e) = r {
                                     // A backup missed a sync update (e.g.
                                     // partitioned); it will be stale until
@@ -356,7 +351,7 @@ impl ReplicaServer {
         let Some(primary_ep) = *primary.lock() else {
             return;
         };
-        let mut rpc = RpcClient::new(primary_ep);
+        let mut rpc = Channel::new("primary", primary_ep, ChannelConfig::with_depth(1));
         let from = *version + 1;
         // Updates propagated while we wait for the fetch reply arrive as
         // stray one-ways; losing them would leave the backup permanently
@@ -364,23 +359,14 @@ impl ReplicaServer {
         // later update may ever come to expose the new gap). Buffer them
         // and merge after the reply.
         let mut late_applies: Vec<Value> = Vec::new();
-        let reply = rpc.call_with_strays(
-            ctx,
-            "",
-            "_fetch",
-            Value::record([("from", Value::U64(from))]),
-            |_ctx, stray| match stray {
-                Stray::Request(_, m) => {
-                    requeued.push_back((*m).clone());
-                    StrayVerdict::Consumed
-                }
-                Stray::Oneway(ow, _) if ow.op == "_apply" => {
-                    late_applies.push(ow.args.clone());
-                    StrayVerdict::Consumed
-                }
-                Stray::Oneway(..) => StrayVerdict::Drop,
-            },
-        );
+        let reply = rpc.call(ctx, "_fetch", Value::record([("from", Value::U64(from))]));
+        for m in rpc.take_strays() {
+            match Packet::from_frame(&m.payload) {
+                Ok(Packet::Request(_)) => requeued.push_back(m),
+                Ok(Packet::Oneway(ow)) if ow.op == "_apply" => late_applies.push(ow.args),
+                _ => ctx.obs().on_stray_dropped(),
+            }
+        }
         if let Ok(reply) = reply {
             if let Ok(updates) = reply.get_list("updates") {
                 for u in updates {

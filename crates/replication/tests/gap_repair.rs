@@ -35,7 +35,7 @@ impl ServiceObject for Register {
 
 /// Reads a replica's version counter directly.
 fn replica_version(ctx: &mut Ctx, replica: simnet::Endpoint) -> u64 {
-    let mut raw = rpc::RpcClient::new(replica);
+    let mut raw = rpc::Channel::new("replica", replica, rpc::ChannelConfig::with_depth(1));
     raw.call(ctx, "_ver", Value::Null)
         .unwrap()
         .as_u64()
@@ -94,7 +94,7 @@ fn backup_catches_up_after_lost_async_updates() {
             "backup failed to repair the gap"
         );
         // And its object state matches, not just its counter.
-        let mut raw = rpc::RpcClient::new(backup);
+        let mut raw = rpc::Channel::new("replica", backup, rpc::ChannelConfig::with_depth(1));
         let reply = raw.call(ctx, "read", Value::Null).unwrap();
         assert_eq!(reply.get("val"), Some(&Value::U64(7)));
     });

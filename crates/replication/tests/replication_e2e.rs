@@ -192,7 +192,7 @@ fn writes_to_backup_redirect_to_primary() {
     sim.spawn("client", NodeId(3), move |ctx| {
         // Hand-build a raw RPC to the backup to verify the NotPrimary
         // error surface (a real proxy would never do this).
-        let mut raw = rpc::RpcClient::new(backup);
+        let mut raw = rpc::Channel::new("replica", backup, rpc::ChannelConfig::with_depth(1));
         let err = raw
             .call(ctx, "write", Value::record([("v", Value::U64(1))]))
             .unwrap_err();
@@ -221,7 +221,7 @@ fn sync_propagation_keeps_replicas_current() {
             .unwrap();
         // Read every replica directly: sync mode means none may lag.
         for &r in &replicas {
-            let mut raw = rpc::RpcClient::new(r);
+            let mut raw = rpc::Channel::new("replica", r, rpc::ChannelConfig::with_depth(1));
             let reply = raw.call(ctx, "read", Value::Null).unwrap();
             assert_eq!(reply.get("val"), Some(&Value::U64(42)));
             assert_eq!(reply.get_u64("ver").unwrap(), 1);

@@ -1,17 +1,17 @@
-//! The pipelined RPC channel: many outstanding calls, one endpoint.
+//! The RPC channel: the one client transport.
 //!
-//! [`RpcClient`](crate::RpcClient) is strictly synchronous — one call,
-//! one reply, one RTT. A [`Channel`] keeps up to
-//! [`ChannelConfig::pipeline_depth`] calls in flight against one server
-//! endpoint: [`Channel::begin_call`] stages a call and returns a
-//! [`CallHandle`]; [`Channel::wait`] / [`Channel::wait_all`] drive the
-//! channel until replies arrive (blocking style), and
-//! [`Channel::poll_wait`] / [`Channel::try_take`] do the same for
-//! poll-driven processes, completing on the reply's own delivery wake
-//! instead of a parked thread. Replies are matched by call id, each
-//! call keeps its own retransmission timer, and ids retransmit unchanged
-//! — so the server's per-client window gives the same at-most-once
-//! guarantee the synchronous client enjoys, even though calls now
+//! A [`Channel`] keeps up to [`ChannelConfig::pipeline_depth`] calls in
+//! flight against one server endpoint. A stop-and-wait call is just a
+//! channel with one call outstanding: [`Channel::call`] begins a call
+//! and waits for it. Pipelined callers stage calls with
+//! [`Channel::begin_call`] and redeem the returned [`CallHandle`] with
+//! [`Channel::wait`] / [`Channel::wait_all`] (blocking style), or with
+//! [`Channel::poll_wait`] / [`Channel::try_take`] from poll-driven
+//! processes, which complete on the reply's own delivery wake instead
+//! of a parked thread. Replies are matched by call id, each call keeps
+//! its own retransmission timer, and ids retransmit unchanged — so the
+//! server's per-client window gives **at-most-once** execution (the
+//! Birrell & Nelson design the paper's stubs assume), even when calls
 //! complete out of order.
 //!
 //! On top of pipelining the channel *batches*: staged requests bound for
@@ -20,6 +20,11 @@
 //! replies on the way back — many calls, one network traversal each
 //! way. Retransmissions are always sent individually: by the time a
 //! timer fires, batch-mates have usually been acknowledged.
+//!
+//! One-way and request datagrams that arrive while the channel pumps are
+//! not its business; it keeps them, in arrival order, for
+//! [`Channel::take_strays`]. Smart proxies route invalidations from
+//! there, and servers blocked in a call requeue requests.
 //!
 //! Every call gets its own `Invoke` span (parented to the caller's
 //! active span), so causal traces show per-call latency even when the
@@ -33,7 +38,7 @@ use wire::Value;
 
 use crate::client::RetryPolicy;
 use crate::error::{RemoteError, RpcError};
-use crate::proto::{Oneway, Packet, Reply, Request};
+use crate::proto::{Packet, Reply, Request};
 
 /// Tuning knobs for a [`Channel`].
 #[derive(Debug, Clone, PartialEq)]
@@ -108,7 +113,8 @@ pub struct ChannelStats {
     pub batched_calls: u64,
     /// Replies that matched no outstanding call.
     pub stale_replies: u64,
-    /// Non-reply datagrams discarded while pumping.
+    /// Datagrams discarded while pumping: undecodable frames, and
+    /// strays the caller passed to [`Channel::discard_strays`].
     pub discarded: u64,
 }
 
@@ -150,7 +156,9 @@ pub struct Channel {
     /// Queued call ids in begin order.
     queue: VecDeque<u64>,
     outstanding: usize,
-    strays: Vec<Oneway>,
+    /// One-way and request datagrams absorbed while pumping, in arrival
+    /// order.
+    strays: Vec<Message>,
     /// Counters (readable by experiment harnesses).
     pub stats: ChannelStats,
 }
@@ -177,6 +185,19 @@ impl Channel {
     /// The server endpoint this channel is bound to.
     pub fn server(&self) -> Endpoint {
         self.server
+    }
+
+    /// Repoints the channel at a new server endpoint (a `Moved`
+    /// redirect or a fresh name lookup). Later sends and retransmissions
+    /// go to `server`; late replies from the old endpoint count as stale.
+    pub fn rebind(&mut self, server: Endpoint) {
+        self.server = server;
+    }
+
+    /// Whether `call_id` belongs to a call begun on this channel whose
+    /// record has not yet been claimed.
+    pub fn owns(&self, call_id: u64) -> bool {
+        self.calls.contains_key(&call_id)
     }
 
     /// Calls currently in flight.
@@ -212,9 +233,9 @@ impl Channel {
         op: &str,
         args: Value,
     ) -> CallHandle {
-        // Ids come from the per-process counter, shared with any
-        // RpcClient in the process, so the server's per-endpoint window
-        // sees one id space.
+        // Ids come from the per-process counter, shared by every channel
+        // in the process, so the server's per-endpoint window sees one
+        // id space and a reply names its channel unambiguously.
         let call_id = ctx.next_seq();
         self.stats.calls += 1;
         ctx.obs().on_call();
@@ -358,15 +379,25 @@ impl Channel {
         self.note_depth(ctx);
     }
 
-    fn on_reply(&mut self, ctx: &mut Ctx, rep: Reply, src: Endpoint) {
-        ctx.obs().span_reply(rep.span, ctx.now().as_nanos());
-        if src != self.server {
-            self.stats.stale_replies += 1;
-            ctx.obs().on_stale_reply();
+    /// Settles an outstanding call with its reply. A reply for a call id
+    /// this channel never issued goes to `foreign` when the caller
+    /// collects those (a sibling channel may own it), and otherwise
+    /// counts as stale, like a duplicate of a settled call.
+    fn on_reply(
+        &mut self,
+        ctx: &mut Ctx,
+        rep: Reply,
+        src: Endpoint,
+        foreign: Option<&mut Vec<(Endpoint, Reply)>>,
+    ) {
+        let rec = self.calls.get_mut(&rep.call_id);
+        if let (None, Some(foreign)) = (&rec, foreign) {
+            foreign.push((src, rep));
             return;
         }
-        match self.calls.get_mut(&rep.call_id) {
-            Some(rec) if matches!(rec.state, CallState::Outstanding) => {
+        ctx.obs().span_reply(rep.span, ctx.now().as_nanos());
+        match rec {
+            Some(rec) if src == self.server && matches!(rec.state, CallState::Outstanding) => {
                 self.outstanding -= 1;
                 self.stats.completed += 1;
                 ctx.obs()
@@ -375,20 +406,28 @@ impl Channel {
                 self.note_depth(ctx);
             }
             _ => {
-                // Duplicate of an already-settled call, or not ours.
+                // Duplicate of an already-settled call, from an old
+                // endpoint, or owned by no channel at all.
                 self.stats.stale_replies += 1;
                 ctx.obs().on_stale_reply();
             }
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx, msg: &Message) {
+    fn on_message(
+        &mut self,
+        ctx: &mut Ctx,
+        msg: Message,
+        mut foreign: Option<&mut Vec<(Endpoint, Reply)>>,
+    ) {
         match Packet::from_frame(&msg.payload) {
-            Ok(Packet::Reply(rep)) => self.on_reply(ctx, rep, msg.src),
+            Ok(Packet::Reply(rep)) => self.on_reply(ctx, rep, msg.src, foreign),
             Ok(Packet::Batch(batch)) => {
                 for item in batch.items {
                     match item {
-                        Packet::Reply(rep) => self.on_reply(ctx, rep, msg.src),
+                        Packet::Reply(rep) => {
+                            self.on_reply(ctx, rep, msg.src, foreign.as_deref_mut())
+                        }
                         _ => {
                             self.stats.discarded += 1;
                             ctx.obs().on_stray_dropped();
@@ -396,8 +435,8 @@ impl Channel {
                     }
                 }
             }
-            Ok(Packet::Oneway(o)) => self.strays.push(o),
-            Ok(Packet::Request(_)) | Err(_) => {
+            Ok(Packet::Oneway(_) | Packet::Request(_)) => self.strays.push(msg),
+            Err(_) => {
                 self.stats.discarded += 1;
                 ctx.obs().on_stray_dropped();
             }
@@ -429,7 +468,7 @@ impl Channel {
                 continue;
             };
             if let Some(msg) = ctx.recv_deadline(deadline)? {
-                self.on_message(ctx, &msg);
+                self.on_message(ctx, msg, None);
             }
         }
     }
@@ -458,6 +497,18 @@ impl Channel {
         }
     }
 
+    /// Calls `op` on the server's default object and waits for the
+    /// reply: a stop-and-wait call. One-way and request datagrams that
+    /// arrive meanwhile stay available through [`Channel::take_strays`].
+    ///
+    /// # Errors
+    ///
+    /// See [`Channel::wait`].
+    pub fn call(&mut self, ctx: &mut Ctx, op: &str, args: Value) -> Result<Value, RpcError> {
+        let h = self.begin_call(ctx, op, args);
+        self.wait(ctx, h)
+    }
+
     /// Drives the channel until every staged call has settled. Results
     /// stay claimable through [`Channel::wait`] (which then returns
     /// immediately).
@@ -477,13 +528,44 @@ impl Channel {
     ///
     /// [`RpcError::Stopped`] on simulation shutdown.
     pub fn poll(&mut self, ctx: &mut Ctx) -> Result<(), RpcError> {
+        self.poll_inner(ctx, None)
+    }
+
+    /// Like [`Channel::poll`], for a process that drives several
+    /// channels: a reply for a call id this channel never issued is
+    /// handed back instead of counted stale, because call ids are unique
+    /// per process and a sibling channel may own it. Give each one to
+    /// the channel that [`owns`](Channel::owns) its id with
+    /// [`Channel::deliver`].
+    ///
+    /// # Errors
+    ///
+    /// [`RpcError::Stopped`] on simulation shutdown.
+    pub fn poll_shared(&mut self, ctx: &mut Ctx) -> Result<Vec<(Endpoint, Reply)>, RpcError> {
+        let mut foreign = Vec::new();
+        self.poll_inner(ctx, Some(&mut foreign))?;
+        Ok(foreign)
+    }
+
+    fn poll_inner(
+        &mut self,
+        ctx: &mut Ctx,
+        mut foreign: Option<&mut Vec<(Endpoint, Reply)>>,
+    ) -> Result<(), RpcError> {
         self.flush(ctx);
         self.expire(ctx);
         while let Some(msg) = ctx.try_recv()? {
-            self.on_message(ctx, &msg);
+            self.on_message(ctx, msg, foreign.as_deref_mut());
         }
         self.flush(ctx);
         Ok(())
+    }
+
+    /// Delivers a reply that a sibling channel absorbed (see
+    /// [`Channel::poll_shared`]). A reply this channel does not own
+    /// either counts as stale.
+    pub fn deliver(&mut self, ctx: &mut Ctx, src: Endpoint, rep: Reply) {
+        self.on_reply(ctx, rep, src, None);
     }
 
     /// Claims the result of a settled call without blocking, consuming
@@ -550,11 +632,20 @@ impl Channel {
         }
     }
 
-    /// Takes the one-way notifications (invalidations, recalls) that
-    /// arrived while the channel was pumping. Callers route them to
-    /// their proxies.
-    pub fn take_strays(&mut self) -> Vec<Oneway> {
+    /// Takes the one-way and request datagrams that arrived while the
+    /// channel was pumping, in arrival order. Callers route one-ways
+    /// (invalidations, recalls) to their proxies and requeue requests
+    /// for service.
+    pub fn take_strays(&mut self) -> Vec<Message> {
         std::mem::take(&mut self.strays)
+    }
+
+    /// Discards the strays a caller has no use for, counting each one.
+    pub fn discard_strays(&mut self, ctx: &Ctx) {
+        for _ in self.strays.drain(..) {
+            self.stats.discarded += 1;
+            ctx.obs().on_stray_dropped();
+        }
     }
 
     /// Discards every settled call record without claiming its result

@@ -1,19 +1,15 @@
-//! The RPC client: synchronous calls with retransmission.
-//!
-//! A [`RpcClient`] issues one call at a time against a fixed server
-//! endpoint. Retransmissions reuse the call id, so together with the
-//! server's duplicate suppression the protocol gives **at-most-once**
-//! execution (the Birrell & Nelson design the paper's stubs assume).
+//! Client-side pieces shared by every caller: the retransmission
+//! policy a [`Channel`](crate::Channel) applies to each call, and
+//! one-way sends, which need no channel because nothing comes back.
 
 use std::time::Duration;
 
-use simnet::{Ctx, Endpoint, Message};
+use simnet::{Ctx, Endpoint};
 use wire::Value;
 
-use crate::error::RpcError;
-use crate::proto::{Oneway, Packet, Request};
+use crate::proto::Oneway;
 
-/// Retransmission policy for a client.
+/// Retransmission policy for a channel's calls.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// How long to wait for the first reply.
@@ -67,202 +63,7 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Counters accumulated by a client across calls.
-///
-/// Canonical definition lives in the `obs` crate; each client keeps its
-/// own copy here, and the simulation-wide [`obs::MetricsRegistry`]
-/// aggregates the same counters across every client.
-pub use obs::CallStats;
-
-/// A synchronous RPC client bound to one server endpoint.
-///
-/// One call may be outstanding at a time (calls are blocking). Replies are
-/// matched on `(server endpoint, call id)`.
-#[derive(Debug)]
-pub struct RpcClient {
-    server: Endpoint,
-    policy: RetryPolicy,
-    /// Counters (readable by experiment harnesses).
-    pub stats: CallStats,
-}
-
-impl RpcClient {
-    /// Creates a client for `server` with the default [`RetryPolicy`].
-    pub fn new(server: Endpoint) -> RpcClient {
-        RpcClient::with_policy(server, RetryPolicy::default())
-    }
-
-    /// Creates a client with an explicit policy.
-    pub fn with_policy(server: Endpoint, policy: RetryPolicy) -> RpcClient {
-        RpcClient {
-            server,
-            policy,
-            stats: CallStats::default(),
-        }
-    }
-
-    /// The server endpoint this client calls.
-    pub fn server(&self) -> Endpoint {
-        self.server
-    }
-
-    /// Repoints the client at a new server endpoint (after a migration
-    /// or rebind). In-flight duplicate replies from the old server are
-    /// filtered out by the source check.
-    pub fn rebind(&mut self, server: Endpoint) {
-        self.server = server;
-    }
-
-    /// Calls `op` on the server's default object.
-    ///
-    /// # Errors
-    ///
-    /// See [`RpcClient::call_object`].
-    pub fn call(&mut self, ctx: &mut Ctx, op: &str, args: Value) -> Result<Value, RpcError> {
-        self.call_object(ctx, "", op, args)
-    }
-
-    /// Calls `op` on a named object in the server context.
-    ///
-    /// # Errors
-    ///
-    /// * [`RpcError::Timeout`] — no reply within the retry budget.
-    /// * [`RpcError::Remote`] — the server executed and reported failure.
-    /// * [`RpcError::Stopped`] — simulation shutdown.
-    pub fn call_object(
-        &mut self,
-        ctx: &mut Ctx,
-        object: &str,
-        op: &str,
-        args: Value,
-    ) -> Result<Value, RpcError> {
-        self.call_with_strays(ctx, object, op, args, |_, _| StrayVerdict::Drop)
-    }
-
-    /// Like [`RpcClient::call_object`], but non-reply datagrams that
-    /// arrive while waiting are offered to `on_stray` (smart proxies use
-    /// this to process invalidations without losing them).
-    ///
-    /// # Errors
-    ///
-    /// See [`RpcClient::call_object`].
-    pub fn call_with_strays(
-        &mut self,
-        ctx: &mut Ctx,
-        object: &str,
-        op: &str,
-        args: Value,
-        mut on_stray: impl FnMut(&mut Ctx, Stray<'_>) -> StrayVerdict,
-    ) -> Result<Value, RpcError> {
-        // Call ids come from the per-process counter so every client
-        // object in a process shares one id space: the server's
-        // duplicate-suppression window (keyed by our endpoint) then
-        // sees strictly increasing fresh ids.
-        let call_id = ctx.next_seq();
-        self.stats.calls += 1;
-        ctx.obs().on_call();
-
-        // The request inherits the caller's active span. It is encoded
-        // exactly once, so every retransmission below carries the same
-        // span by construction.
-        let span = ctx.current_span();
-        let request = Request {
-            call_id,
-            reply_to: ctx.endpoint(),
-            object: object.to_owned(),
-            op: op.to_owned(),
-            args,
-            span: span.raw(),
-        };
-        let datagram = request.to_bytes();
-
-        for attempt in 0..self.policy.max_attempts {
-            if attempt > 0 {
-                self.stats.retries += 1;
-                ctx.obs().on_retry();
-                ctx.obs().span_retransmit_at(span, ctx.now().as_nanos());
-                ctx.trace(simnet::TraceEvent::Retransmit {
-                    src: ctx.endpoint(),
-                    dst: self.server,
-                    span,
-                    attempt,
-                });
-            }
-            ctx.send_traced(self.server, datagram.clone(), span);
-            let deadline = ctx.now() + self.policy.attempt_timeout(attempt);
-            // Drain replies until the attempt deadline; a `None` recv
-            // means the attempt timed out and we retransmit.
-            while let Some(msg) = ctx.recv_deadline(deadline)? {
-                match Packet::from_frame(&msg.payload) {
-                    Ok(Packet::Reply(rep)) => {
-                        ctx.obs().span_reply(rep.span, ctx.now().as_nanos());
-                        if rep.call_id == call_id && msg.src == self.server {
-                            return rep.result.map_err(RpcError::Remote);
-                        }
-                        self.stats.stale_replies += 1;
-                        ctx.obs().on_stale_reply();
-                    }
-                    Ok(Packet::Oneway(o)) => match on_stray(ctx, Stray::Oneway(&o, &msg)) {
-                        StrayVerdict::Consumed => {}
-                        StrayVerdict::Drop => {
-                            self.stats.strays_dropped += 1;
-                            ctx.obs().on_stray_dropped();
-                        }
-                    },
-                    Ok(Packet::Request(r)) => match on_stray(ctx, Stray::Request(&r, &msg)) {
-                        StrayVerdict::Consumed => {}
-                        StrayVerdict::Drop => {
-                            self.stats.strays_dropped += 1;
-                            ctx.obs().on_stray_dropped();
-                        }
-                    },
-                    Ok(Packet::Batch(_)) => {
-                        // A synchronous client never batches, so batched
-                        // replies cannot be addressed to it.
-                        self.stats.strays_dropped += 1;
-                        ctx.obs().on_stray_dropped();
-                    }
-                    Err(_) => {
-                        self.stats.strays_dropped += 1;
-                        ctx.obs().on_stray_dropped();
-                    }
-                }
-            }
-        }
-        self.stats.timeouts += 1;
-        ctx.obs().on_timeout();
-        Err(RpcError::Timeout {
-            attempts: self.policy.max_attempts,
-        })
-    }
-
-    /// Sends a one-way notification to the server (no reply, no retry).
-    /// Stamped with the caller's active span and recorded as an
-    /// immediately-closed one-way span parented to it.
-    pub fn notify(&self, ctx: &Ctx, op: &str, args: Value) {
-        send_oneway(ctx, self.server, op, args);
-    }
-}
-
-/// A non-reply datagram observed while a call was waiting.
-#[derive(Debug)]
-pub enum Stray<'a> {
-    /// A one-way notification (e.g. a cache invalidation).
-    Oneway(&'a Oneway, &'a Message),
-    /// A request addressed to this process (e.g. callback traffic).
-    Request(&'a Request, &'a Message),
-}
-
-/// What the stray handler did with the datagram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StrayVerdict {
-    /// The handler processed it.
-    Consumed,
-    /// Not interesting; count it as dropped.
-    Drop,
-}
-
-/// Sends a one-way notification outside any client (helper for servers
+/// Sends a one-way notification (helper for servers
 /// pushing invalidations or replication traffic). The notification
 /// carries the caller's active span and is recorded as an
 /// immediately-closed one-way span parented to it, which is how

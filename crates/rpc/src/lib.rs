@@ -5,16 +5,19 @@
 //! server-side duplicate suppression, giving **at-most-once** execution
 //! under message loss and duplication.
 //!
-//! A plain RPC *stub* — the degenerate proxy of the paper — is simply an
-//! [`RpcClient`] plus marshalling; the smart proxies in `proxy-core`
-//! layer caching, replication and migration strategies on top of this
-//! same machinery.
+//! There is one client transport, the [`Channel`]: it keeps up to a
+//! configured number of calls in flight against one server endpoint,
+//! and a stop-and-wait call is a channel with one call outstanding. A
+//! plain RPC *stub* — the degenerate proxy of the paper — is simply a
+//! channel plus marshalling; the smart proxies in `proxy-core` layer
+//! caching, replication and migration strategies on top of the same
+//! channel.
 //!
 //! ## Example
 //!
 //! ```
 //! use simnet::{Simulation, NetworkConfig, NodeId, PortId};
-//! use rpc::{RpcClient, RpcServer, RemoteError, ErrorCode};
+//! use rpc::{Channel, ChannelConfig, RpcServer, RemoteError, ErrorCode};
 //! use wire::Value;
 //!
 //! let mut sim = Simulation::new(NetworkConfig::lan(), 1);
@@ -30,7 +33,7 @@
 //!     }, |_ctx, _oneway| {});
 //! });
 //! sim.spawn("client", NodeId(1), move |ctx| {
-//!     let mut client = RpcClient::new(server);
+//!     let mut client = Channel::new("adder", server, ChannelConfig::with_depth(1));
 //!     let sum = client
 //!         .call(ctx, "add", Value::record([("a", Value::U64(2)), ("b", Value::U64(3))]))
 //!         .unwrap();
@@ -49,9 +52,7 @@ mod proto;
 mod server;
 
 pub use channel::{CallHandle, Channel, ChannelConfig, ChannelStats};
-pub use client::{
-    send_oneway, send_oneway_from, CallStats, RetryPolicy, RpcClient, Stray, StrayVerdict,
-};
+pub use client::{send_oneway, send_oneway_from, RetryPolicy};
 pub use error::{ErrorCode, RemoteError, RpcError};
 pub use proto::{endpoint_from_value, endpoint_to_value, Batch, Oneway, Packet, Reply, Request};
 pub use server::{RpcServer, ServeStats, Served};

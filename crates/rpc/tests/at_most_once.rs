@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rpc::{ErrorCode, RemoteError, RetryPolicy, RpcClient, RpcError, RpcServer};
+use rpc::{Channel, ChannelConfig, ErrorCode, RemoteError, RetryPolicy, RpcError, RpcServer};
 use simnet::{NetworkConfig, NodeId, PortId, Simulation};
 use wire::Value;
 
@@ -43,7 +43,7 @@ fn calls_execute_exactly_once_on_clean_network() {
     let ok = Arc::new(AtomicU64::new(0));
     let ok2 = Arc::clone(&ok);
     sim.spawn("client", NodeId(1), move |ctx| {
-        let mut c = RpcClient::new(server);
+        let mut c = Channel::new("counter", server, ChannelConfig::with_depth(1));
         for i in 1..=50u64 {
             let v = c.call(ctx, "inc", Value::Null).unwrap();
             assert_eq!(v, Value::U64(i));
@@ -66,9 +66,11 @@ fn lossy_network_retries_but_never_double_executes() {
     let retries = Arc::new(AtomicU64::new(0));
     let (s2, r2) = (Arc::clone(&successes), Arc::clone(&retries));
     sim.spawn("client", NodeId(1), move |ctx| {
-        let mut c = RpcClient::with_policy(
+        let mut c = Channel::new(
+            "counter",
             server,
-            RetryPolicy::exponential(Duration::from_millis(5), 8),
+            ChannelConfig::with_depth(1)
+                .with_policy(RetryPolicy::exponential(Duration::from_millis(5), 8)),
         );
         for _ in 0..100 {
             match c.call(ctx, "inc", Value::Null) {
@@ -107,7 +109,7 @@ fn duplicating_network_never_double_executes() {
     let mut sim = Simulation::new(NetworkConfig::lan().with_duplicate(0.5), 11);
     let (server, execs) = spawn_counter(&sim, NodeId(0), PortId(1));
     sim.spawn("client", NodeId(1), move |ctx| {
-        let mut c = RpcClient::new(server);
+        let mut c = Channel::new("counter", server, ChannelConfig::with_depth(1));
         for i in 1..=100u64 {
             let v = c.call(ctx, "inc", Value::Null).unwrap();
             assert_eq!(v, Value::U64(i), "duplicate executed!");
@@ -125,7 +127,12 @@ fn reordering_network_preserves_exactly_once() {
     let mut sim = Simulation::new(cfg, 13);
     let (server, execs) = spawn_counter(&sim, NodeId(0), PortId(1));
     sim.spawn("client", NodeId(1), move |ctx| {
-        let mut c = RpcClient::with_policy(server, RetryPolicy::fixed(Duration::from_millis(8), 6));
+        let mut c = Channel::new(
+            "counter",
+            server,
+            ChannelConfig::with_depth(1)
+                .with_policy(RetryPolicy::fixed(Duration::from_millis(8), 6)),
+        );
         for i in 1..=60u64 {
             let v = c.call(ctx, "inc", Value::Null).unwrap();
             assert_eq!(v, Value::U64(i));
@@ -143,7 +150,12 @@ fn total_partition_times_out() {
     let o2 = Arc::clone(&outcome);
     sim.spawn("client", NodeId(1), move |ctx| {
         ctx.net().partition(NodeId(0), NodeId(1));
-        let mut c = RpcClient::with_policy(server, RetryPolicy::fixed(Duration::from_millis(2), 3));
+        let mut c = Channel::new(
+            "counter",
+            server,
+            ChannelConfig::with_depth(1)
+                .with_policy(RetryPolicy::fixed(Duration::from_millis(2), 3)),
+        );
         match c.call(ctx, "inc", Value::Null) {
             Err(RpcError::Timeout { attempts: 3 }) => o2.store(1, Ordering::SeqCst),
             other => panic!("expected timeout, got {other:?}"),
@@ -159,7 +171,7 @@ fn remote_errors_propagate() {
     let mut sim = Simulation::new(NetworkConfig::lan(), 5);
     let (server, _execs) = spawn_counter(&sim, NodeId(0), PortId(1));
     sim.spawn("client", NodeId(1), move |ctx| {
-        let mut c = RpcClient::new(server);
+        let mut c = Channel::new("counter", server, ChannelConfig::with_depth(1));
         match c.call(ctx, "frobnicate", Value::Null) {
             Err(RpcError::Remote(e)) => {
                 assert_eq!(e.code, ErrorCode::NoSuchOp);
@@ -180,10 +192,10 @@ fn two_clients_do_not_cross_replies() {
         srv.serve(ctx, |_c, req| Ok(req.args.clone()), |_, _| {});
     });
     sim.spawn("client", NodeId(1), move |ctx| {
-        // Two RpcClients in the same process with overlapping call-id
+        // Two channels in the same process with overlapping call-id
         // spaces; source matching must keep replies straight.
-        let mut a = RpcClient::new(server_a);
-        let mut b = RpcClient::new(echo);
+        let mut a = Channel::new("counter", server_a, ChannelConfig::with_depth(1));
+        let mut b = Channel::new("counter", echo, ChannelConfig::with_depth(1));
         for i in 1..=20u64 {
             assert_eq!(a.call(ctx, "inc", Value::Null).unwrap(), Value::U64(i));
             assert_eq!(
@@ -203,9 +215,11 @@ fn retry_cost_grows_with_loss_rate() {
         let mut sim = Simulation::new(NetworkConfig::lan().with_loss(loss), 21);
         let (server, _) = spawn_counter(&sim, NodeId(0), PortId(1));
         sim.spawn("client", NodeId(1), move |ctx| {
-            let mut c = RpcClient::with_policy(
+            let mut c = Channel::new(
+                "counter",
                 server,
-                RetryPolicy::exponential(Duration::from_millis(4), 10),
+                ChannelConfig::with_depth(1)
+                    .with_policy(RetryPolicy::exponential(Duration::from_millis(4), 10)),
             );
             for _ in 0..80 {
                 let _ = c.call(ctx, "inc", Value::Null);

@@ -9,7 +9,7 @@ use rpc::{ErrorCode, Packet, RemoteError, Reply, Request, RpcServer, Served};
 use simnet::{Endpoint, NetworkConfig, NodeId, PortId, Simulation};
 use wire::Value;
 
-/// Hand-crafts a raw request datagram (bypassing RpcClient) so tests can
+/// Hand-crafts a raw request datagram (bypassing Channel) so tests can
 /// control call ids exactly.
 fn raw_request(call_id: u64, reply_to: Endpoint, op: &str) -> Bytes {
     Request {

@@ -7,7 +7,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use rpc::{Channel, ChannelConfig, ErrorCode, RemoteError, RetryPolicy, RpcClient, RpcError};
+use rpc::{
+    Channel, ChannelConfig, ErrorCode, Oneway, Packet, RemoteError, Request, RetryPolicy, RpcError,
+};
 use simnet::{NetworkConfig, NodeId, PortId, Simulation};
 use wire::Value;
 
@@ -213,23 +215,78 @@ fn batched_calls_execute_exactly_once() {
 
 #[test]
 fn channel_and_sync_client_share_id_space_safely() {
-    // A process may hold both a Channel and a plain RpcClient against
-    // the same server; call ids come from one per-process counter so the
-    // server window never confuses them.
+    // A process may hold a pipelined channel and a stop-and-wait channel
+    // against the same server; call ids come from one per-process
+    // counter so the server window never confuses them. While a depth-1
+    // call waits, a request and a one-way addressed to the process
+    // arrive: both come back to the caller in arrival order, and
+    // nothing is dropped or discarded.
     let mut sim = Simulation::new(NetworkConfig::lan(), 13);
     let (server, execs) = spawn_counter(&sim, NodeId(0), PortId(1));
-    sim.spawn("client", NodeId(1), move |ctx| {
+    let slow = sim.spawn_at("slow", NodeId(2), PortId(1), |ctx| {
+        let mut srv = rpc::RpcServer::new();
+        srv.serve(
+            ctx,
+            |ctx, _req| {
+                ctx.sleep(Duration::from_millis(5))
+                    .map_err(|_| RemoteError::new(ErrorCode::Unavailable, "stopped"))?;
+                Ok(Value::Null)
+            },
+            |_, _| {},
+        );
+    });
+    let client = simnet::Endpoint::new(NodeId(1), PortId(7));
+    sim.spawn("peer", NodeId(3), move |ctx| {
+        let _ = ctx.sleep(Duration::from_millis(2));
+        let request = Request {
+            call_id: 1,
+            reply_to: ctx.endpoint(),
+            object: String::new(),
+            op: "callback".into(),
+            args: Value::Null,
+            span: 0,
+        };
+        ctx.send(client, request.to_bytes());
+        let _ = ctx.sleep(Duration::from_millis(1));
+        rpc::send_oneway(ctx, client, "inv", Value::U64(9));
+    });
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let s2 = Arc::clone(&seen);
+    sim.spawn_at("client", NodeId(1), PortId(7), move |ctx| {
+        let mut waiter = Channel::new("slow", slow, ChannelConfig::with_depth(1));
+        waiter.call(ctx, "wait", Value::Null).unwrap();
         let mut ch = Channel::new("counter", server, ChannelConfig::with_depth(4));
-        let mut sync = RpcClient::new(server);
-        for round in 0..10u64 {
+        let mut sync = Channel::new("counter", server, ChannelConfig::with_depth(1));
+        for _ in 0..10u64 {
             let h = ch.begin_call(ctx, "inc", Value::Null);
-            let _ = sync.call(ctx, "inc", Value::Null).unwrap();
+            sync.call(ctx, "inc", Value::Null).unwrap();
             ch.wait(ctx, h).unwrap();
-            let _ = round;
         }
+        let kinds: Vec<String> = waiter
+            .take_strays()
+            .iter()
+            .map(|m| match Packet::from_frame(&m.payload) {
+                Ok(Packet::Request(r)) => format!("request {}", r.op),
+                Ok(Packet::Oneway(Oneway { op, .. })) => format!("oneway {op}"),
+                other => panic!("unexpected stray {other:?}"),
+            })
+            .collect();
+        for c in [&ch, &sync, &waiter] {
+            assert_eq!(c.stats.discarded, 0);
+            assert_eq!(c.stats.stale_replies, 0);
+        }
+        *s2.lock().unwrap() = kinds;
     });
     sim.run();
     assert_eq!(execs.load(Ordering::SeqCst), 20);
+    assert_eq!(
+        *seen.lock().unwrap(),
+        vec!["request callback".to_owned(), "oneway inv".to_owned()],
+        "mid-call strays must come back in arrival order"
+    );
+    let report = sim.obs_report();
+    assert_eq!(report.rpc.client.strays_dropped, 0);
+    assert_eq!(report.rpc.client.stale_replies, 0);
 }
 
 #[test]

@@ -13,7 +13,7 @@ use parking_lot::Mutex;
 use proptest::prelude::*;
 use proxy_core::bulk::BlobClient;
 use proxy_core::{
-    BulkParams, CachingParams, ClientRuntime, Coherence, ProxySpec, ServiceBuilder, Session,
+    BulkParams, CachingParams, Coherence, ProxySpec, ServiceBuilder, Session, SessionCore,
 };
 use services::blob::{spawn_edge_cache, BlobStore};
 use services::kv::KvStore;
@@ -44,7 +44,7 @@ fn stub_proxy_spills_and_resolves_through_blob_store() {
         .object(|| Box::new(KvStore::new()))
         .spawn(&sim, NodeId(2), ns);
     sim.spawn("client", NodeId(3), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let mut s = Session::new(&mut rt, ctx);
         let kv = s.bind("kv").unwrap();
         let data = payload(256 * 1024, 3);
@@ -96,7 +96,7 @@ fn caching_proxy_caches_resolved_bulk_values() {
         .object(|| Box::new(KvStore::new()))
         .spawn(&sim, NodeId(2), ns);
     sim.spawn("client", NodeId(3), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let mut s = Session::new(&mut rt, ctx);
         let kv = s.bind("kv").unwrap();
         let data = payload(64 * 1024, 9);

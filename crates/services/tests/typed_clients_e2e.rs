@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use naming::spawn_name_server;
-use proxy_core::{CachingParams, ClientRuntime, Coherence, ProxySpec, ServiceBuilder, Session};
+use proxy_core::{CachingParams, Coherence, ProxySpec, ServiceBuilder, Session, SessionCore};
 use services::counter::{Counter, CounterClient};
 use services::directory::{Directory, DirectoryClient};
 use services::file::{BlockFile, FileClient};
@@ -21,7 +21,7 @@ fn kv_client_full_surface() {
         .object(|| Box::new(KvStore::new()))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let mut s = Session::new(&mut rt, ctx);
         let kv = KvClient::bind(&mut s, "kv").unwrap();
         assert!(kv.is_empty(&mut s).unwrap());
@@ -49,7 +49,7 @@ fn file_client_full_surface() {
         .object(|| Box::new(BlockFile::new()))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let mut s = Session::new(&mut rt, ctx);
         let fs = FileClient::bind(&mut s, "fs").unwrap();
         assert_eq!(fs.read(&mut s, "doc", 0).unwrap(), None);
@@ -79,7 +79,7 @@ fn counter_client_full_surface() {
         .object(|| Box::new(Counter::starting_at(10)))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let mut s = Session::new(&mut rt, ctx);
         let ctr = CounterClient::bind(&mut s, "ctr").unwrap();
         assert_eq!(ctr.get(&mut s).unwrap(), 10);
@@ -97,7 +97,7 @@ fn queue_client_full_surface() {
         .object(|| Box::new(PrintQueue::new()))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let mut s = Session::new(&mut rt, ctx);
         let q = QueueClient::bind(&mut s, "q").unwrap();
         assert_eq!(q.take(&mut s).unwrap(), None);
@@ -119,7 +119,7 @@ fn directory_client_full_surface() {
         .object(|| Box::new(Directory::new()))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let mut s = Session::new(&mut rt, ctx);
         let dir = DirectoryClient::bind(&mut s, "dir").unwrap();
         assert_eq!(dir.lookup(&mut s, "/a").unwrap(), None);
@@ -149,7 +149,7 @@ fn unbind_cancels_invalidation_subscription() {
         .object(|| Box::new(KvStore::new()))
         .spawn(&sim, NodeId(1), ns);
     sim.spawn("subscriber", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let mut s = Session::new(&mut rt, ctx);
         let kv = KvClient::bind(&mut s, "kv").unwrap();
         kv.put(&mut s, "a", "1").unwrap();
@@ -163,7 +163,7 @@ fn unbind_cancels_invalidation_subscription() {
     });
     sim.spawn("writer", NodeId(3), move |ctx| {
         ctx.sleep(Duration::from_millis(15)).unwrap();
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let mut s = Session::new(&mut rt, ctx);
         let kv = KvClient::bind(&mut s, "kv").unwrap();
         kv.put(&mut s, "a", "2").unwrap();

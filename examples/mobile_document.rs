@@ -29,7 +29,7 @@ fn main() {
 
     let f_editor = factories.clone();
     sim.spawn("editor", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns).with_factories(f_editor);
+        let mut rt = SessionCore::new(ns).with_factories(f_editor);
         let mut session = Session::new(&mut rt, ctx);
         let doc = CounterClient::bind(&mut session, "edit-count").expect("bind");
 
@@ -62,7 +62,7 @@ fn main() {
 
     sim.spawn("reviewer", NodeId(3), move |ctx| {
         ctx.sleep(Duration::from_millis(25)).unwrap();
-        let mut rt = ClientRuntime::new(ns).with_factories(factories);
+        let mut rt = SessionCore::new(ns).with_factories(factories);
         let mut session = Session::new(&mut rt, ctx);
         let doc = CounterClient::bind(&mut session, "edit-count").expect("bind");
         // The object is checked out to the editor; the service recalls

@@ -27,7 +27,7 @@ fn main() {
         .spawn(&sim, NodeId(1), ns);
 
     sim.spawn("client", NodeId(2), move |ctx| {
-        let mut rt = ClientRuntime::new(ns);
+        let mut rt = SessionCore::new(ns);
         let mut session = Session::new(&mut rt, ctx);
         let ledger = KvClient::bind(&mut session, "ledger").expect("bind");
 

@@ -34,7 +34,7 @@
 //!     .object(|| Box::new(services::kv::KvStore::new()))
 //!     .spawn(&sim, NodeId(1), ns);
 //! sim.spawn("client", NodeId(2), move |ctx| {
-//!     let mut rt = ClientRuntime::new(ns);
+//!     let mut rt = SessionCore::new(ns);
 //!     let mut session = Session::new(&mut rt, ctx);
 //!     let kv = services::kv::KvClient::bind(&mut session, "kv").unwrap();
 //!     kv.put(&mut session, "color", "blue").unwrap();
@@ -60,12 +60,12 @@ pub mod prelude {
     pub use migration::{request_migration, spawn_migratable, ForwardMode, MigratableConfig};
     pub use naming::{spawn_name_server, NameClient};
     pub use proxy_core::{
-        AdaptiveParams, Binder, CachingParams, ClientRuntime, Coherence, FactoryRegistry,
-        InterfaceDesc, OpDesc, Proxy, ProxySpec, ReadTarget, ServiceBuilder, ServiceObject,
-        ServiceServer, Session,
+        AdaptiveParams, Binder, CachingParams, Coherence, FactoryRegistry, InterfaceDesc, OpDesc,
+        Proxy, ProxySpec, ReadTarget, ServiceBuilder, ServiceObject, ServiceServer, Session,
+        SessionCore,
     };
     pub use replication::{client_runtime, spawn_replica_group, Propagation, ReplicaGroupConfig};
-    pub use rpc::{ErrorCode, RemoteError, RpcClient, RpcError, RpcServer};
+    pub use rpc::{Channel, ChannelConfig, ErrorCode, RemoteError, RpcError, RpcServer};
     pub use services;
     pub use simnet::{Ctx, Endpoint, NetworkConfig, NodeId, PortId, SimTime, Simulation};
     pub use wire::Value;
