@@ -48,6 +48,12 @@ if [ "${1:-}" != "quick" ]; then
       "target/BENCH_e${n}.json" "BENCH_e${n}.json"
   done
 
+  step "E7 at-most-once gate (zero over-executions under loss + duplication)"
+  # Also bounds the adaptive RTO's carried back-off: the exponential
+  # leg's mean latency at 30% loss must stay within 2x its fixed-RTO
+  # value.
+  cargo run -q --release -p bench --bin e7_loss
+
   step "flamegraph gate (folded export validates + tracectl flame round-trips)"
   # The smoke run above exported the collapsed flamegraph and the
   # RunReport it came from. Both must validate, and re-deriving the

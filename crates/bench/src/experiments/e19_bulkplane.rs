@@ -51,6 +51,13 @@ const SEED: u64 = 1900;
 /// The thread counts the bulk leg is swept over (byte-identity gate).
 const THREADS: [usize; 2] = [1, 4];
 
+/// Bulk-leg (t1) retransmissions, `(smoke, full)`, when every channel
+/// used a fixed 10 ms / 50 ms RTO against 40–100 ms WAN round trips.
+/// The network drops and duplicates nothing, so all of them were
+/// spurious; with the channel's RTT estimate only warm-up retransmits
+/// remain, and the gate allows a third of these.
+const FIXED_RTO_BULK_RETRIES: (u64, u64) = (324, 3943);
+
 /// One workload configuration.
 #[derive(Debug, Clone, Copy)]
 struct Config {
@@ -292,6 +299,11 @@ struct Leg {
     ts_cache_hit: u64,
     ts_cache_miss: u64,
     bulk_resolves: u64,
+    /// Network faults and the client retransmissions they (should) explain.
+    msgs_dropped: u64,
+    msgs_duplicated: u64,
+    retries: u64,
+    stale_replies: u64,
     summary: String,
     trace_jsonl: String,
     report_json: String,
@@ -604,6 +616,10 @@ fn run_leg(cfg: Config, bulk: bool, threads: usize) -> Leg {
         ts_cache_hit: ts.counter_total("cache_hit@blob"),
         ts_cache_miss: ts.counter_total("cache_miss@blob"),
         bulk_resolves,
+        msgs_dropped: report.net.msgs_dropped,
+        msgs_duplicated: report.net.msgs_duplicated,
+        retries: report.rpc.client.retries,
+        stale_replies: report.rpc.client.stale_replies,
         summary,
         trace_jsonl,
         report_json,
@@ -782,7 +798,7 @@ fn artifact_json(
 }
 
 /// Runs E19 and returns its tables and shape checks.
-#[allow(clippy::too_many_lines)] // three legs, four tables, nine checks
+#[allow(clippy::too_many_lines)] // three legs, four tables, ten checks
 pub fn run() -> ExperimentOutput {
     let (cfg, mode) = Config::pick();
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
@@ -917,6 +933,13 @@ pub fn run() -> ExperimentOutput {
         pct(&bulk.lat[r].flash, 0.50) as f64 <= pct(&inline.lat[r].flash, 0.50) as f64 * 1.25
     });
 
+    let fixed_rto_retries = if mode == "smoke" {
+        FIXED_RTO_BULK_RETRIES.0
+    } else {
+        FIXED_RTO_BULK_RETRIES.1
+    };
+    let retry_limit = fixed_rto_retries / 3;
+
     let checks = vec![
         check(
             "by-reference results are identical to inline marshalling",
@@ -993,6 +1016,15 @@ pub fn run() -> ExperimentOutput {
             "every region has an active edge with origin traffic",
             bulk.edges.len() == cfg.regions && bulk.edges.iter().all(|e| e.2 > 0),
             format!("{} edges: {:?}", bulk.edges.len(), bulk.edges),
+        ),
+        check(
+            "lossless WAN: bulk retransmits <= 1/3 of the fixed-RTO count (warm-up only)",
+            bulk.msgs_dropped == 0 && bulk.msgs_duplicated == 0 && bulk.retries <= retry_limit,
+            format!(
+                "msgs_dropped={} msgs_duplicated={} retries={} (limit {retry_limit}, \
+                 fixed RTO {fixed_rto_retries}) stale_replies={}",
+                bulk.msgs_dropped, bulk.msgs_duplicated, bulk.retries, bulk.stale_replies
+            ),
         ),
         check(
             "BENCH_e19.json artifact written",

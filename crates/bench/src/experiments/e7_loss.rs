@@ -26,6 +26,12 @@ use crate::{
 
 const CALLS: u64 = 150;
 
+/// Mean latency (µs) of the exponential leg at 30% loss while every call
+/// started from the fixed 4 ms timeout, before the channel carried a
+/// retransmission's back-off over to later calls (Karn's rule). The
+/// carry may cost latency under heavy loss, but not twice this.
+const LOSS30_MEAN_US_FIXED_RTO: f64 = 7_453.0;
+
 #[derive(Debug, Clone, Copy)]
 struct Point {
     successes: u64,
@@ -226,6 +232,15 @@ pub fn run() -> ExperimentOutput {
                 "{:.0}us at 0% -> {:.0}us at 30%",
                 pts[0].mean_latency_us,
                 pts.last().unwrap().mean_latency_us
+            ),
+        ),
+        check(
+            "carried back-off stays bounded: mean latency at 30% loss <= 2x the fixed-RTO 7453us",
+            pts.last().unwrap().mean_latency_us <= 2.0 * LOSS30_MEAN_US_FIXED_RTO,
+            format!(
+                "{:.0}us at 30% (limit {:.0}us)",
+                pts.last().unwrap().mean_latency_us,
+                2.0 * LOSS30_MEAN_US_FIXED_RTO
             ),
         ),
         check(

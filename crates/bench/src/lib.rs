@@ -156,7 +156,10 @@ pub struct Check {
 
 /// One-line digest of a `RunReport` JSON blob for the experiment log:
 /// the loss-shaped counters a reader would otherwise have to dig out of
-/// the blob (proxy-discarded datagrams, trace-ring evictions) plus the
+/// the blob (network drops and duplicates next to the client
+/// retransmissions and stale replies they should explain — retries on a
+/// network that lost nothing are spurious — proxy-discarded datagrams,
+/// trace-ring evictions) plus the
 /// flight-recorder headlines (pinned exemplars, recorded windows) and
 /// the obs-plane honesty counts (spans retired vs resident, time spent
 /// inside the plane itself) and the profiler's (frames resident vs
@@ -172,6 +175,16 @@ fn obs_summary_line(json: &str) -> Option<String> {
                 .sum()
         })
         .unwrap_or(0);
+    let net = doc.get("net");
+    let dropped = net.and_then(|n| n.u64_field("msgs_dropped")).unwrap_or(0);
+    let duplicated = net
+        .and_then(|n| n.u64_field("msgs_duplicated"))
+        .unwrap_or(0);
+    let client = doc.get("rpc").and_then(|r| r.get("client"));
+    let retries = client.and_then(|c| c.u64_field("retries")).unwrap_or(0);
+    let stale = client
+        .and_then(|c| c.u64_field("stale_replies"))
+        .unwrap_or(0);
     let trace_evicted = doc.u64_field("trace_evicted").unwrap_or(0);
     let exemplars = doc
         .get("exemplars")
@@ -182,16 +195,11 @@ fn obs_summary_line(json: &str) -> Option<String> {
         .and_then(|t| t.get("windows"))
         .and_then(|w| w.as_arr())
         .map_or(0, <[obs::json::Json]>::len);
-    let procs_spawned = doc
-        .get("net")
+    let procs_spawned = net
         .and_then(|n| n.u64_field("processes_spawned"))
         .unwrap_or(0);
-    let procs_peak = doc
-        .get("net")
-        .and_then(|n| n.u64_field("processes_peak"))
-        .unwrap_or(0);
-    let inversions = doc
-        .get("net")
+    let procs_peak = net.and_then(|n| n.u64_field("processes_peak")).unwrap_or(0);
+    let inversions = net
         .and_then(|n| n.u64_field("sched_time_inversions"))
         .unwrap_or(0);
     let spans_retired = doc
@@ -216,7 +224,9 @@ fn obs_summary_line(json: &str) -> Option<String> {
         .unwrap_or(0);
     let prof_self_us = prof.and_then(|p| p.u64_field("self_ns")).unwrap_or(0) / 1_000;
     Some(format!(
-        "datagrams_discarded={discarded} trace_evicted={trace_evicted} \
+        "msgs_dropped={dropped} msgs_duplicated={duplicated} \
+         retries={retries} stale_replies={stale} \
+         datagrams_discarded={discarded} trace_evicted={trace_evicted} \
          exemplars={exemplars} ts_windows={windows} \
          procs_spawned={procs_spawned} procs_peak={procs_peak} \
          sched_time_inversions={inversions} \

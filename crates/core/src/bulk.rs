@@ -129,12 +129,16 @@ fn remote(code: ErrorCode, msg: impl Into<String>) -> RpcError {
 ///
 /// One client per store service; the endpoint is resolved through the
 /// name service on first use and cached (a stale endpoint surfaces as a
-/// per-call error and is re-resolved on the next call).
+/// per-call error and is re-resolved on the next call). So is the
+/// channel to it, which carries its RTT estimate from one transfer to
+/// the next.
 #[derive(Debug)]
 pub struct BlobClient {
     store: String,
     ns: NameClient,
     server: Option<Endpoint>,
+    /// Idle between transfers; a failed transfer drops it.
+    channel: Option<Channel>,
     chunk: usize,
     depth: usize,
 }
@@ -147,6 +151,7 @@ impl BlobClient {
             store: store.into(),
             ns: NameClient::new(ns),
             server: None,
+            channel: None,
             chunk: chunk.clamp(1, MAX_CHUNK),
             depth: depth.max(1),
         }
@@ -166,15 +171,24 @@ impl BlobClient {
         Ok(rec.endpoint)
     }
 
+    /// Takes the channel to the store for one transfer, building a new
+    /// one when there is none or the store's endpoint changed. A
+    /// transfer that succeeds puts it back, so the RTT estimate learned
+    /// on one transfer times the next.
     fn channel(&mut self, ctx: &mut Ctx) -> Result<Channel, RpcError> {
         let ep = self.endpoint(ctx)?;
+        if let Some(ch) = self.channel.take().filter(|ch| ch.server() == ep) {
+            return Ok(ch);
+        }
         // Bulk transfers are throughput-bound, not latency-bound: a
         // pipelined chunk fetch legitimately queues behind its window
         // predecessors at the store (or behind a cold edge cache's
-        // serial origin misses over the WAN), so the per-call patience
-        // must cover many upstream round trips — the LAN-sized default
-        // policy would give up on calls the server fully intends to
-        // answer.
+        // serial origin misses over the WAN). The channel's estimate
+        // learns that delay, but only from replies; 50 ms is the first
+        // RTO and its floor, and 8 exponentially backed-off attempts
+        // keep a call alive while the estimate is still low — the
+        // LAN-sized default policy would give up on calls the server
+        // fully intends to answer.
         let policy = rpc::RetryPolicy::exponential(std::time::Duration::from_millis(50), 8);
         Ok(Channel::new(
             self.store.clone(),
@@ -230,6 +244,7 @@ impl BlobClient {
             self.server = None;
             return Err(e);
         }
+        self.channel = Some(ch);
         Ok(BlobRef {
             store: self.store.clone().into(),
             key: key.into(),
@@ -294,6 +309,7 @@ impl BlobClient {
             self.server = None;
             return Err(e);
         }
+        self.channel = Some(ch);
         if buf.len() as u64 != r.len {
             return Err(remote(
                 ErrorCode::App,
@@ -331,6 +347,9 @@ impl BlobClient {
         ch.wait_all(ctx)?;
         let r = ch.wait(ctx, h).map(drop);
         crate::proxy::route_strays(ctx, &mut ch, strays);
+        if r.is_ok() {
+            self.channel = Some(ch);
+        }
         r
     }
 }

@@ -29,8 +29,27 @@
 //! Every call gets its own `Invoke` span (parented to the caller's
 //! active span), so causal traces show per-call latency even when the
 //! datagrams were shared.
+//!
+//! The retransmission timeout adapts to the path. A channel is bound to
+//! one endpoint, so it keeps one Jacobson/Karels estimate (smoothed RTT
+//! and RTT variance) for that destination, and sends each new call with
+//! RTO = max(`policy.timeout`, SRTT + max(1 ms, 4·RTTVAR)), the 1 ms
+//! being RFC 6298's granularity margin. The policy's timeout is
+//! both the first RTO and the floor, so a LAN path whose round trips sit
+//! far below it keeps exactly the fixed-timeout schedule. Only a reply
+//! to a call that was never retransmitted is a sample (Karn's rule): a
+//! reply to a retransmitted call cannot say which send it answers. A
+//! retransmission backs off from the RTO its call was first sent with,
+//! times `policy.backoff^attempt`, and that backed-off timeout carries
+//! over to later calls until a clean sample arrives — otherwise an
+//! initial RTO below the path's RTT would retransmit every call and
+//! Karn's rule would discard every sample. Before the first sample the
+//! carry is unbounded; after it, it is capped at twice the estimate, so
+//! a burst of losses cannot ratchet the timeout far past the path.
+//! [`Channel::rebind`] starts a fresh estimate for the new endpoint.
 
 use std::collections::{HashMap, VecDeque};
+use std::time::Duration;
 
 use bytes::Bytes;
 use simnet::{Ctx, Endpoint, Message, SimTime};
@@ -48,7 +67,8 @@ pub struct ChannelConfig {
     /// Maximum staged requests coalesced into one datagram (1 = no
     /// batching).
     pub max_batch: usize,
-    /// Per-call retransmission policy.
+    /// Retransmission policy: the initial RTO and its floor, the
+    /// back-off factor and the attempt budget.
     pub policy: RetryPolicy,
 }
 
@@ -137,8 +157,79 @@ struct CallRec {
     bytes: Bytes,
     span: obs::SpanId,
     attempt: u32,
+    /// When the first transmission left (the RTT sample's start).
+    sent_at: SimTime,
+    /// The RTO the first transmission was sent with; retransmissions
+    /// back off from it.
+    rto: Duration,
     deadline: SimTime,
     state: CallState,
+}
+
+/// The least margin the RTO keeps above SRTT (RFC 6298's clock
+/// granularity G). A path with no jitter drives RTTVAR to zero, which
+/// would put the deadline on the reply's arrival instant, where the
+/// timer wins the tie and every other call retransmits.
+const RTO_GRANULARITY: Duration = Duration::from_millis(1);
+
+/// A channel's round-trip estimate and the RTO its next call is sent
+/// with (Jacobson/Karels smoothing; see the module docs).
+#[derive(Debug)]
+struct RttEstimator {
+    /// The policy's timeout: the RTO before any sample, and its floor.
+    floor: Duration,
+    /// Smoothed RTT; `None` until the first clean sample.
+    srtt: Option<Duration>,
+    rttvar: Duration,
+    /// The RTO for the next first transmission: the estimate, or a
+    /// carried back-off above it.
+    rto: Duration,
+}
+
+impl RttEstimator {
+    fn new(floor: Duration) -> RttEstimator {
+        RttEstimator {
+            floor,
+            srtt: None,
+            rttvar: Duration::ZERO,
+            rto: floor,
+        }
+    }
+
+    /// max(floor, SRTT + max(G, 4·RTTVAR)), or the floor before any
+    /// sample.
+    fn estimate(&self) -> Duration {
+        self.srtt.map_or(self.floor, |srtt| {
+            (srtt + (self.rttvar * 4).max(RTO_GRANULARITY)).max(self.floor)
+        })
+    }
+
+    /// Folds in the RTT of a call that was sent exactly once, and drops
+    /// any carried back-off.
+    fn sample(&mut self, rtt: Duration) {
+        match self.srtt {
+            None => {
+                self.srtt = Some(rtt);
+                self.rttvar = rtt / 2;
+            }
+            Some(srtt) => {
+                self.rttvar = (self.rttvar * 3 + srtt.abs_diff(rtt)) / 4;
+                self.srtt = Some((srtt * 7 + rtt) / 8);
+            }
+        }
+        self.rto = self.estimate();
+    }
+
+    /// Carries a retransmission's backed-off timeout over to later
+    /// calls: unbounded before the first sample, at most twice the
+    /// estimate after it.
+    fn carry(&mut self, timeout: Duration) {
+        let carried = match self.srtt {
+            Some(_) => timeout.min(self.estimate() * 2),
+            None => timeout,
+        };
+        self.rto = self.rto.max(carried);
+    }
 }
 
 /// A pipelined, batching RPC channel bound to one server endpoint.
@@ -156,6 +247,7 @@ pub struct Channel {
     /// Queued call ids in begin order.
     queue: VecDeque<u64>,
     outstanding: usize,
+    rtt: RttEstimator,
     /// One-way and request datagrams absorbed while pumping, in arrival
     /// order.
     strays: Vec<Message>,
@@ -166,6 +258,7 @@ pub struct Channel {
 impl Channel {
     /// Creates a channel for `service` at `server`.
     pub fn new(service: impl Into<String>, server: Endpoint, cfg: ChannelConfig) -> Channel {
+        let rtt = RttEstimator::new(cfg.policy.timeout);
         Channel {
             service: service.into(),
             server,
@@ -177,6 +270,7 @@ impl Channel {
             calls: HashMap::new(),
             queue: VecDeque::new(),
             outstanding: 0,
+            rtt,
             strays: Vec::new(),
             stats: ChannelStats::default(),
         }
@@ -190,8 +284,29 @@ impl Channel {
     /// Repoints the channel at a new server endpoint (a `Moved`
     /// redirect or a fresh name lookup). Later sends and retransmissions
     /// go to `server`; late replies from the old endpoint count as stale.
+    /// The RTT estimate belongs to the old path, so it starts over.
     pub fn rebind(&mut self, server: Endpoint) {
         self.server = server;
+        self.rtt = RttEstimator::new(self.cfg.policy.timeout);
+    }
+
+    /// The RTO the next call will be sent with: the estimate, or a
+    /// back-off carried over from a recent retransmission.
+    pub fn rto(&self) -> Duration {
+        self.rtt.rto
+    }
+
+    /// The estimated RTO, max(`policy.timeout`, SRTT + max(1 ms,
+    /// 4·RTTVAR)), with no carried back-off; `policy.timeout` before the
+    /// first sample.
+    pub fn rto_estimate(&self) -> Duration {
+        self.rtt.estimate()
+    }
+
+    /// The smoothed round-trip time, or `None` before the first reply to
+    /// a call that was never retransmitted.
+    pub fn srtt(&self) -> Option<Duration> {
+        self.rtt.srtt
     }
 
     /// Whether `call_id` belongs to a call begun on this channel whose
@@ -265,6 +380,8 @@ impl Channel {
                 bytes,
                 span,
                 attempt: 0,
+                sent_at: SimTime::ZERO,
+                rto: Duration::ZERO,
                 deadline: SimTime::ZERO,
                 state: CallState::Queued,
             },
@@ -280,12 +397,15 @@ impl Channel {
             let room = self.cfg.pipeline_depth - self.outstanding;
             let n = self.cfg.max_batch.min(room).min(self.queue.len());
             let ids: Vec<u64> = self.queue.drain(..n).collect();
-            let deadline = ctx.now() + self.cfg.policy.attempt_timeout(0);
+            let now = ctx.now();
+            let rto = self.rtt.rto;
             for &id in &ids {
                 let rec = self.calls.get_mut(&id).expect("queued call exists");
                 rec.state = CallState::Outstanding;
                 rec.attempt = 0;
-                rec.deadline = deadline;
+                rec.sent_at = now;
+                rec.rto = rto;
+                rec.deadline = now + rto;
             }
             self.outstanding += ids.len();
             if ids.len() == 1 {
@@ -374,7 +494,9 @@ impl Channel {
                 attempt: rec.attempt,
             });
             ctx.send_traced(self.server, rec.bytes.clone(), rec.span);
-            rec.deadline = now + self.cfg.policy.attempt_timeout(rec.attempt);
+            let timeout = self.cfg.policy.attempt_timeout(rec.rto, rec.attempt);
+            rec.deadline = now + timeout;
+            self.rtt.carry(timeout);
         }
         self.note_depth(ctx);
     }
@@ -398,6 +520,11 @@ impl Channel {
         ctx.obs().span_reply(rep.span, ctx.now().as_nanos());
         match rec {
             Some(rec) if src == self.server && matches!(rec.state, CallState::Outstanding) => {
+                // Karn's rule: a retransmitted call's reply may answer
+                // any of its sends, so only first-send replies are timed.
+                if rec.attempt == 0 {
+                    self.rtt.sample(ctx.now() - rec.sent_at);
+                }
                 self.outstanding -= 1;
                 self.stats.completed += 1;
                 ctx.obs()

@@ -12,11 +12,12 @@ use crate::proto::Oneway;
 /// Retransmission policy for a channel's calls.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
-    /// How long to wait for the first reply.
+    /// The initial RTO and its floor: a channel sends its first call
+    /// with this timeout and never lets its RTT estimate drop below it.
     pub timeout: Duration,
     /// Total attempts (first send plus retransmissions).
     pub max_attempts: u32,
-    /// Multiplier applied to the timeout after each attempt
+    /// Multiplier applied to a call's RTO after each attempt
     /// (1.0 = fixed interval, 2.0 = exponential backoff).
     pub backoff: f64,
 }
@@ -49,15 +50,19 @@ impl RetryPolicy {
         }
     }
 
-    pub(crate) fn attempt_timeout(&self, attempt: u32) -> Duration {
+    /// The timeout of transmission `attempt` (0 = the first send) of a
+    /// call first sent with `rto`: `rto * backoff^attempt`.
+    pub(crate) fn attempt_timeout(&self, rto: Duration, attempt: u32) -> Duration {
         let factor = self.backoff.powi(attempt as i32);
-        Duration::from_nanos((self.timeout.as_nanos() as f64 * factor) as u64)
+        Duration::from_nanos((rto.as_nanos() as f64 * factor) as u64)
     }
 }
 
 impl Default for RetryPolicy {
-    /// 10ms initial timeout, 4 attempts, exponential backoff — sized for
-    /// the default LAN profile (500µs one-way latency).
+    /// 10ms initial RTO and floor, 4 attempts, exponential backoff. The
+    /// floor sits well above a LAN round trip (500µs one-way latency),
+    /// so LAN calls keep a fixed 10ms first timeout; slower paths raise
+    /// the RTO through the channel's RTT estimate.
     fn default() -> RetryPolicy {
         RetryPolicy::exponential(Duration::from_millis(10), 4)
     }
@@ -110,15 +115,22 @@ mod tests {
     #[test]
     fn policy_backoff_grows() {
         let p = RetryPolicy::exponential(Duration::from_millis(10), 4);
-        assert_eq!(p.attempt_timeout(0), Duration::from_millis(10));
-        assert_eq!(p.attempt_timeout(1), Duration::from_millis(20));
-        assert_eq!(p.attempt_timeout(2), Duration::from_millis(40));
+        let rto = p.timeout;
+        assert_eq!(p.attempt_timeout(rto, 0), Duration::from_millis(10));
+        assert_eq!(p.attempt_timeout(rto, 1), Duration::from_millis(20));
+        assert_eq!(p.attempt_timeout(rto, 2), Duration::from_millis(40));
+        // A call sent with a raised RTO backs off from that RTO.
+        let raised = Duration::from_millis(30);
+        assert_eq!(p.attempt_timeout(raised, 2), Duration::from_millis(120));
     }
 
     #[test]
     fn policy_fixed_is_flat() {
         let p = RetryPolicy::fixed(Duration::from_millis(5), 3);
-        assert_eq!(p.attempt_timeout(0), p.attempt_timeout(2));
+        assert_eq!(
+            p.attempt_timeout(p.timeout, 0),
+            p.attempt_timeout(p.timeout, 2)
+        );
     }
 
     #[test]
